@@ -122,7 +122,11 @@ def _cmd_estimate(args) -> int:
 def _cmd_exact(args) -> int:
     g = _read_graph(args.input, args.directed, args.weight_scale)
     t0 = time.perf_counter_ns()
-    res = exact_diameter(g)
+    try:
+        res = exact_diameter(g)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     millis = (time.perf_counter_ns() - t0) / 1e6
     if not res.diameter.finite:
         print("error: graph has infinite diameter", file=sys.stderr)

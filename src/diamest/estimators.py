@@ -181,12 +181,15 @@ def _aingworth_sweep(g: Graph, s: int):
     members, mdists = _near_sets_all(g, s)
     radii = mdists[:, -1]
     w = int(np.argmax(radii))
+    hitters = _greedy_hitting_set(members, g.n)
+    # one OUT batch serves w and the hitters; the offers still go w, near
+    # set of w, hitters, the order that decides ties between equal depths
+    out_depths = batch_depths(g, np.concatenate(([w], hitters)), OUT)
     tracker = _Deepest()
-    tracker.offer(int(batch_depths(g, [w], OUT)[0]), w, OUT)
+    tracker.offer(int(out_depths[0]), w, OUT)
     near_w = members[w]
     tracker.offer_batch(batch_depths(g, near_w, IN), near_w, IN)
-    hitters = _greedy_hitting_set(members, g.n)
-    tracker.offer_batch(batch_depths(g, hitters, OUT), hitters, OUT)
+    tracker.offer_batch(out_depths[1:], hitters, OUT)
     return tracker, members, mdists
 
 
@@ -201,7 +204,8 @@ def two_approx(g: Graph) -> Estimate:
     _require_finite(g)
     tracker = _Deepest()
     tracker.offer(search(g, 0, OUT).depth, 0, OUT)
-    tracker.offer(search(g, 0, IN).depth, 0, IN)
+    if g.directed:  # undirected: the IN tree is the OUT tree
+        tracker.offer(search(g, 0, IN).depth, 0, IN)
     return Estimate(tracker.depth, "two-approx", tracker.witness())
 
 
@@ -497,7 +501,8 @@ def sampling_estimate(g: Graph, epsilon: float = 0.5, delta: float = 0.25,
     sample = np.sort(rng.choice(n, size=size, replace=False))
     tracker = _Deepest()
     tracker.offer_batch(batch_depths(g, sample, OUT), sample, OUT)
-    tracker.offer_batch(batch_depths(g, sample, IN), sample, IN)
+    if g.directed:  # undirected: IN depths equal OUT ones, and ties keep OUT
+        tracker.offer_batch(batch_depths(g, sample, IN), sample, IN)
     return Estimate(tracker.depth, "sampling", tracker.witness(),
                     params=_params(epsilon=epsilon, delta=delta, seed=seed,
                                    sample_const=sample_const, sample_size=size))

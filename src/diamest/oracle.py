@@ -1,9 +1,10 @@
 """Ground-truth diameter, eccentricities and all-pairs distances.
 
-The oracle runs one independent search per source (no matrix-multiply
-shortcuts): exact_diameter streams per-source sweeps in fixed-size chunks
-so it scales to graphs far beyond the all-pairs matrix cap, while
-exact_apsp materializes the full distance matrix for small graphs.
+The oracle runs one search per source (no matrix-multiply shortcuts):
+exact_diameter streams all sources through the batched depth kernel in
+fixed-size chunks so it scales to graphs far beyond the all-pairs matrix
+cap, while exact_apsp materializes the full distance matrix for small
+graphs.
 """
 from __future__ import annotations
 

@@ -5,11 +5,11 @@ Provides full and truncated breadth-first / Dijkstra searches with a fixed
 vertex, and nearest-member-of-a-set computation done with one search from
 a virtual super node.
 
-Searches never mutate the graph; each owns a private distance array and
-queue, so any number may run concurrently over one shared Graph.  Bulk
-depth queries are delegated to scipy's per-source sweeps (breadth-first
-for unweighted graphs, Dijkstra for weighted ones), which do the same
-work in C.
+Searches never mutate the graph; each owns its private arrays, so any
+number may run concurrently over one shared Graph.  Bulk depth queries
+run many searches together: on unweighted graphs as one bit-parallel
+multi-source BFS that advances 64 sources per machine word, on weighted
+ones as scipy's Dijkstra over chunks of sources.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order as _scipy_bfs
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from .graph import Graph, InfiniteDiameterError, UNREACHED
@@ -271,59 +270,99 @@ def nearest_high_degree(g: Graph, degree: int):
 
 # ---- bulk depth queries ----------------------------------------------------
 
-_WALK_LIMIT = 128
+# Size cap, in uint64 words, of each temporary of one multi-source BFS chunk:
+# a chunk of 64*W sources keeps W words per vertex and per arc, so W is
+# chosen to keep max(n, arcs) * W under the cap, at any n.
+_WORD_BUDGET = 1 << 17
 
 
-def _bfs_depth_reach(mat, source: int):
-    """Depth and reach count of one BFS tree, all heavy work in C.
+def _bit_columns(words: np.ndarray, k: int):
+    """Unpack the first k bits of every row of a (rows, W) uint64 array.
 
-    The deepest vertex is the last one in breadth-first visiting order;
-    its level is recovered by walking the predecessor chain, falling back
-    to pointer doubling over the whole forest for long diameters.
+    Bit j of a row lives in word j >> 6 at position j & 63.  Yields
+    (first_row, bits) over row chunks sized so that each uint8 0/1 matrix
+    ``bits`` of shape (chunk_rows, k) stays within the word budget.
     """
-    order, pred = _scipy_bfs(mat, source, directed=True,
-                             return_predecessors=True)
-    v = int(order[-1])
-    depth = 0
-    while pred[v] >= 0 and depth <= _WALK_LIMIT:
-        v = int(pred[v])
-        depth += 1
-    if pred[v] < 0:
-        return depth, int(order.size)
-    ptr = pred.astype(np.int64)
-    ptr[ptr < 0] = -1
-    hops = (ptr >= 0).astype(np.int64)
-    while True:
-        live = ptr >= 0
-        if not live.any():
-            break
-        ahead = ptr[live]
-        hops[live] += hops[ahead]
-        ptr[live] = ptr[ahead]
-    return int(hops[order].max()), int(order.size)
+    step = max(1, _WORD_BUDGET // (8 * words.shape[1]))
+    for lo in range(0, words.shape[0], step):
+        raw = words[lo:lo + step].astype("<u8", copy=False).view(np.uint8)
+        yield lo, np.unpackbits(raw, axis=1, count=k, bitorder="little")
+
+
+def _msbfs_stats(pull: Graph, sources: np.ndarray):
+    """Depth and reach count of the BFS tree of every source, 64 per word.
+
+    Row v of ``pull`` lists the vertices a search steps from into v: the
+    reverse graph for OUT searches, the graph itself for IN ones.  Each
+    level gathers the frontier words of every row's entries and ORs them
+    per row with one reduceat, which advances all sources of a chunk at
+    once (multi-source BFS, Then et al., VLDB 2015).  A source's depth is
+    the last level whose OR-ed new-frontier word holds its bit.
+    """
+    n, k = pull.n, sources.size
+    depths = np.empty(k, dtype=np.int64)
+    reached = np.empty(k, dtype=np.int64)
+    rows = np.flatnonzero(np.diff(pull.indptr))
+    starts = pull.indptr[rows]
+    width = max(1, _WORD_BUDGET // max(n, pull.arc_count))
+    for lo in range(0, k, 64 * width):
+        part = sources[lo:lo + 64 * width]
+        words = (part.size + 63) >> 6
+        bit = np.arange(part.size, dtype=np.int64)
+        frontier = np.zeros((n, words), dtype=np.uint64)
+        np.bitwise_or.at(frontier, (part, bit >> 6),
+                         np.uint64(1) << (bit & 63).astype(np.uint64))
+        # complement of the seen set: it masks each new frontier, and the
+        # bits it keeps at the end count the vertices a source never reached
+        unseen = ~frontier
+        levels = [np.bitwise_or.reduce(frontier, axis=0)]
+        while rows.size:  # a graph without arcs has no level past 0
+            pulled = np.bitwise_or.reduceat(frontier[pull.indices], starts, axis=0)
+            if rows.size == n:
+                frontier = pulled
+            else:
+                frontier = np.zeros((n, words), dtype=np.uint64)
+                frontier[rows] = pulled
+            frontier &= unseen
+            level = np.bitwise_or.reduce(frontier, axis=0)
+            if not np.count_nonzero(level):
+                break
+            unseen ^= frontier
+            levels.append(level)
+        depth = np.zeros(part.size, dtype=np.int64)
+        for first, bits in _bit_columns(np.array(levels), part.size):
+            last = bits.shape[0] - 1 - np.argmax(bits[::-1], axis=0)
+            depth = np.where(bits.any(axis=0), first + last, depth)
+        missed = sum(bits.sum(axis=0, dtype=np.int64)
+                     for _, bits in _bit_columns(unseen, part.size))
+        depths[lo:lo + part.size] = depth
+        reached[lo:lo + part.size] = n - missed
+    return depths, reached
 
 
 def batch_search_stats(g: Graph, sources, direction: str = OUT):
     """Depths and reach counts for many sources at once.
 
-    One independent per-source sweep per entry, run in C: breadth-first
-    search for unweighted graphs, Dijkstra (chunked to bound memory) for
-    weighted ones.  Returns (depths, reached) int64 arrays aligned with
-    ``sources``.
+    Unweighted graphs run one bit-parallel multi-source BFS over chunks of
+    sources; weighted graphs run scipy's Dijkstra over chunks of sources,
+    sized to bound memory.  Depth is the largest finite distance from
+    (OUT) or to (IN) the source; reach counts the source itself.  Returns
+    (depths, reached) int64 arrays aligned with ``sources``, which may be
+    unsorted and hold duplicates.
     """
     if direction not in (OUT, IN):
         raise ValueError(f"bad direction {direction!r}")
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         return _EMPTY.copy(), _EMPTY.copy()
+    if sources.min() < 0 or sources.max() >= g.n:
+        raise ValueError(f"source out of range for n={g.n}")
+    if not g.weighted:
+        return _msbfs_stats(g.reverse() if direction == OUT else g, sources)
     base = g if direction == OUT else g.reverse()
     mat = base.scipy_matrix()
     depths = np.empty(sources.size, dtype=np.int64)
     reached = np.empty(sources.size, dtype=np.int64)
-    if not g.weighted:
-        for i, src in enumerate(sources):
-            depths[i], reached[i] = _bfs_depth_reach(mat, int(src))
-        return depths, reached
     chunk = max(1, int(8_000_000 // max(g.n, 1)))
     for lo in range(0, sources.size, chunk):
         part = sources[lo:lo + chunk]

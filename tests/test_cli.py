@@ -84,6 +84,15 @@ def test_exact_subcommand(capsys, p10_file):
     assert "value=9" in out and "eccentricity_max=9" in out
 
 
+def test_exact_empty_graph_exit_1(capsys, tmp_path):
+    path = tmp_path / "empty.edges"
+    path.write_text("0 0\n")
+    for argv in (["exact"], ["estimate", "--method", "exact"]):
+        code, out, err = _run(capsys, argv + ["--input", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_sparse_override_requires_both(capsys, p10_file):
     code, _, err = _run(capsys, ["estimate", "--input", p10_file,
                                  "--method", "sparse", "--htilde", "4"])

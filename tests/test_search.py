@@ -1,4 +1,6 @@
 """search module: BFS/Dijkstra trees, near sets, set-distance queries."""
+import importlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,9 @@ from diamest import (IN, OUT, InfiniteDiameterError, UNREACHED, batch_depths,
                      batch_search_stats, build_graph, nearest_high_degree,
                      nearest_in_set, nearest_s, search)
 from helpers import fw_apsp, path_graph, random_graph, star_graph
+
+# the package re-exports the function search(), which hides the module name
+search_module = importlib.import_module("diamest.search")
 
 
 def test_search_path():
@@ -194,21 +199,69 @@ def test_triangle_inequality_against_oracle():
         assert (row[None, :] <= row[:, None] + ref + 1e-9).all()
 
 
-def test_batch_depths_matches_search():
-    rng = np.random.default_rng(47)
-    for i in range(40):
-        n = int(rng.integers(2, 40))
-        g = random_graph(rng, n, 2 * n, directed=bool(i % 2),
-                         weight_hi=6 if i % 3 == 0 else 0)
-        sources = rng.choice(n, size=min(n, 7), replace=False)
+def _check_batch(g, sources):
+    for direction in (OUT, IN):
+        depths, reached = batch_search_stats(g, sources, direction)
+        assert depths.shape == reached.shape == (len(sources),)
+        for j, v in enumerate(sources):
+            t = search(g, int(v), direction)
+            assert depths[j] == t.depth
+            assert reached[j] == t.reached
+
+
+def test_batch_depths_matches_search(monkeypatch):
+    # a word budget of 1 splits every batch into 64-source chunks and
+    # unpacks the bitsets one row at a time
+    for budget in (search_module._WORD_BUDGET, 1):
+        monkeypatch.setattr(search_module, "_WORD_BUDGET", budget)
+        rng = np.random.default_rng(47)
+        for i in range(40):
+            n = int(rng.integers(2, 40))
+            g = random_graph(rng, n, 2 * n, directed=bool(i % 2),
+                             weight_hi=6 if i % 3 == 0 else 0)
+            sources = rng.choice(n, size=min(n, 7), replace=False)
+            _check_batch(g, sources)
+            assert np.array_equal(batch_depths(g, sources, OUT),
+                                  batch_search_stats(g, sources, OUT)[0])
+        # sparse directed graph: empty in-rows, reach counts below n;
+        # unsorted sources with duplicates around the 64-bit word edges
+        g = random_graph(rng, 150, 150, directed=True)
+        assert (np.diff(g.reverse().indptr) == 0).any()
+        for k in (63, 64, 65, 129):
+            _check_batch(g, rng.integers(0, g.n, size=k))
+        _check_batch(build_graph(5, [], directed=True), [4, 0, 4])
+        # deeper than 128 levels; directed, so IN trees stop at the source
+        deep = build_graph(300, [(i, i + 1) for i in range(299)], directed=True)
+        _check_batch(deep, [0, 299, 150, 0])
+        _check_batch(path_graph(260), rng.permutation(260)[:70])
+    for weighted in (False, True):
+        g = random_graph(np.random.default_rng(3), 20, 40,
+                         weight_hi=5 if weighted else 0)
         for direction in (OUT, IN):
-            depths, reached = batch_search_stats(g, sources, direction)
-            for j, v in enumerate(sources):
-                t = search(g, int(v), direction)
-                assert depths[j] == t.depth
-                assert reached[j] == t.reached
-        assert np.array_equal(batch_depths(g, sources, OUT),
-                              batch_search_stats(g, sources, OUT)[0])
+            depths, reached = batch_search_stats(g, [], direction)
+            assert depths.dtype == reached.dtype == np.int64
+            assert depths.size == reached.size == 0
+        for bad in ([-1], [20]):
+            with pytest.raises(ValueError, match="out of range"):
+                batch_search_stats(g, bad, OUT)
+
+
+def test_batch_search_stats_threads_share_one_graph():
+    # bench --threads runs batches concurrently over one Graph, including
+    # the first (lazy) build of its reverse view
+    from concurrent.futures import ThreadPoolExecutor
+
+    def make():
+        return random_graph(np.random.default_rng(59), 300, 900,
+                            directed=True, connected=True)
+
+    g_seq, g_par = make(), make()
+    jobs = [(np.arange(k, 300, 7), OUT if k % 2 else IN) for k in range(7)] * 3
+    expected = [batch_search_stats(g_seq, src, d) for src, d in jobs]
+    with ThreadPoolExecutor(max_workers=6) as pool:
+        got = list(pool.map(lambda job: batch_search_stats(g_par, *job), jobs))
+    for (d_exp, r_exp), (d_got, r_got) in zip(expected, got):
+        assert np.array_equal(d_exp, d_got) and np.array_equal(r_exp, r_got)
 
 
 def test_zero_weight_edges():
