@@ -1,10 +1,10 @@
 """Ground-truth diameter, eccentricities and all-pairs distances.
 
-The oracle runs one search per source (no matrix-multiply shortcuts):
-exact_diameter streams all sources through the batched depth kernel in
-fixed-size chunks so it scales to graphs far beyond the all-pairs matrix
-cap, while exact_apsp materializes the full distance matrix for small
-graphs.
+The oracle runs a full search from every source (no matrix-multiply
+shortcuts): exact_diameter streams all sources through the batched depth
+kernel, which bounds its memory by chunking them, so it scales to graphs
+far beyond the all-pairs matrix cap, while exact_apsp materializes the
+full distance matrix for small graphs.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ class ExactResult:
 
 
 def exact_diameter(g: Graph) -> ExactResult:
-    """Diameter by one search per vertex; deterministic witness selection."""
+    """Diameter by a full search from every vertex; deterministic witness."""
     if g.n == 0:
         raise ValueError("exact_diameter requires at least one vertex")
     sources = np.arange(g.n, dtype=np.int64)

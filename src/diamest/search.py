@@ -275,67 +275,121 @@ def nearest_high_degree(g: Graph, degree: int):
 # chosen to keep max(n, arcs) * W under the cap, at any n.
 _WORD_BUDGET = 1 << 17
 
-
-def _bit_columns(words: np.ndarray, k: int):
-    """Unpack the first k bits of every row of a (rows, W) uint64 array.
-
-    Bit j of a row lives in word j >> 6 at position j & 63.  Yields
-    (first_row, bits) over row chunks sized so that each uint8 0/1 matrix
-    ``bits`` of shape (chunk_rows, k) stays within the word budget.
-    """
-    step = max(1, _WORD_BUDGET // (8 * words.shape[1]))
-    for lo in range(0, words.shape[0], step):
-        raw = words[lo:lo + step].astype("<u8", copy=False).view(np.uint8)
-        yield lo, np.unpackbits(raw, axis=1, count=k, bitorder="little")
+# A level pushes from its frontier when that is cheaper than pulling into
+# every vertex: a pushed arc word costs about _PUSH_COST pulled ones, and a
+# push level costs about _PUSH_START pulled arc words more to set up.
+_PUSH_COST = 4
+_PUSH_START = 4096
 
 
-def _msbfs_stats(pull: Graph, sources: np.ndarray):
+def _msbfs_stats(g: Graph, sources: np.ndarray, direction: str):
     """Depth and reach count of the BFS tree of every source, 64 per word.
 
-    Row v of ``pull`` lists the vertices a search steps from into v: the
-    reverse graph for OUT searches, the graph itself for IN ones.  Each
-    level gathers the frontier words of every row's entries and ORs them
-    per row with one reduceat, which advances all sources of a chunk at
-    once (multi-source BFS, Then et al., VLDB 2015).  A source's depth is
-    the last level whose OR-ed new-frontier word holds its bit.
+    All sources of a chunk advance together, one bit each in W words per
+    vertex (multi-source BFS, Then et al., VLDB 2015); word w of vertex v
+    is entry w*n + v of the flat bitsets.  A level with a small frontier
+    pushes its nonzero entries along their out-arcs and merges the ones
+    that land on the same entry; a large one pulls every vertex's words
+    over its in-arcs with one gather and one reduceat, as direction-
+    optimizing BFS does.  A level thus costs O(min(f, arcs * W)) for f the
+    out-arcs of its nonzero entries, so a deep graph pays for what each
+    source reaches, not for every arc on every level.  A source's depth is
+    the last level whose frontier holds its bit.
     """
-    n, k = pull.n, sources.size
+    push, pull = (g, g.reverse()) if direction == OUT else (g.reverse(), g)
+    n, k, arcs = g.n, sources.size, g.arc_count
     depths = np.empty(k, dtype=np.int64)
     reached = np.empty(k, dtype=np.int64)
+    fan = np.diff(push.indptr)
     rows = np.flatnonzero(np.diff(pull.indptr))
     starts = pull.indptr[rows]
-    width = max(1, _WORD_BUDGET // max(n, pull.arc_count))
+    width = max(1, _WORD_BUDGET // max(n, arcs))
     for lo in range(0, k, 64 * width):
         part = sources[lo:lo + 64 * width]
+        depth = depths[lo:lo + part.size]
         words = (part.size + 63) >> 6
         bit = np.arange(part.size, dtype=np.int64)
-        frontier = np.zeros((n, words), dtype=np.uint64)
-        np.bitwise_or.at(frontier, (part, bit >> 6),
+        front = np.zeros((words, n), dtype=np.uint64)
+        np.bitwise_or.at(front, (bit >> 6, part),
                          np.uint64(1) << (bit & 63).astype(np.uint64))
         # complement of the seen set: it masks each new frontier, and the
         # bits it keeps at the end count the vertices a source never reached
-        unseen = ~frontier
-        levels = [np.bitwise_or.reduce(frontier, axis=0)]
-        while rows.size:  # a graph without arcs has no level past 0
-            pulled = np.bitwise_or.reduceat(frontier[pull.indices], starts, axis=0)
-            if rows.size == n:
-                frontier = pulled
+        unseen = ~front
+        flat = unseen.reshape(-1)
+        merged = np.empty(words * n, dtype=np.uint64)
+        stamp = np.empty(words * n, dtype=np.int64)
+        alive = np.bitwise_or.reduce(front, axis=1)
+        key = None  # nonzero entries of a sparse frontier; None: dense
+        spare = arcs * words - _PUSH_START  # a pull beyond a push's set-up
+        level = 0
+        while True:
+            if key is None:
+                pushing = spare >= 0 and _PUSH_COST * int(
+                    np.count_nonzero(front, axis=0) @ fan) <= spare
             else:
-                frontier = np.zeros((n, words), dtype=np.uint64)
-                frontier[rows] = pulled
-            frontier &= unseen
-            level = np.bitwise_or.reduce(frontier, axis=0)
-            if not np.count_nonzero(level):
-                break
-            unseen ^= frontier
-            levels.append(level)
-        depth = np.zeros(part.size, dtype=np.int64)
-        for first, bits in _bit_columns(np.array(levels), part.size):
-            last = bits.shape[0] - 1 - np.argmax(bits[::-1], axis=0)
-            depth = np.where(bits.any(axis=0), first + last, depth)
-        missed = sum(bits.sum(axis=0, dtype=np.int64)
-                     for _, bits in _bit_columns(unseen, part.size))
-        depths[lo:lo + part.size] = depth
+                vertex = key % n
+                cnt = fan[vertex]
+                pushing = _PUSH_COST * int(cnt.sum()) <= spare
+            if pushing:
+                if key is None:
+                    key = np.flatnonzero(front)
+                    val = front.reshape(-1)[key]
+                    vertex = key % n
+                    cnt = fan[vertex]
+                # targets stay grouped by word, in ascending word order
+                end = np.cumsum(cnt)
+                at = (np.repeat(push.indptr[vertex] + cnt - end, cnt)
+                      + np.arange(end[-1]))
+                key = push.indices[at] + np.repeat(key - vertex, cnt)
+                val = np.repeat(val, cnt) & flat[key]
+                keep = np.flatnonzero(val)
+                key, val = key[keep], val[keep]
+                # one entry per target keeps its stamp; OR the rest into it
+                pos = np.arange(key.size)
+                stamp[key] = pos
+                first = stamp[key] == pos
+                if not first.all():
+                    merged[key] = 0
+                    np.bitwise_or.at(merged, key, val)
+                    key = key[first]
+                    val = merged[key]
+                flat[key] ^= val
+                per_word = np.bincount(key // n, minlength=words)
+                some = np.flatnonzero(per_word)
+                new = np.zeros(words, dtype=np.uint64)
+                new[some] = np.bitwise_or.reduceat(
+                    val, (np.cumsum(per_word) - per_word)[some])
+            else:
+                if key is not None:
+                    front = np.zeros((words, n), dtype=np.uint64)
+                    front.reshape(-1)[key] = val
+                    key = None
+                pulled = np.bitwise_or.reduceat(front[:, pull.indices], starts,
+                                                axis=1)
+                if rows.size == n:
+                    front = pulled
+                else:
+                    front = np.zeros((words, n), dtype=np.uint64)
+                    front[:, rows] = pulled
+                front &= unseen
+                unseen ^= front
+                new = np.bitwise_or.reduce(front, axis=1)
+            if (new != alive).any():
+                done = (alive & ~new).astype("<u8", copy=False).view(np.uint8)
+                depth[np.unpackbits(done, count=part.size, bitorder="little")
+                      .astype(bool)] = level
+                alive = new
+                if not alive.any():
+                    break
+            level += 1
+        # bit j of word j >> 6 is source j; unpack a few vertices at a time
+        missed = np.zeros(part.size, dtype=np.int64)
+        step = max(1, _WORD_BUDGET // (8 * words))
+        for v in range(0, n, step):
+            raw = np.ascontiguousarray(unseen[:, v:v + step].T)
+            bits = np.unpackbits(raw.astype("<u8", copy=False).view(np.uint8),
+                                 axis=1, count=part.size, bitorder="little")
+            missed += bits.sum(axis=0, dtype=np.int64)
         reached[lo:lo + part.size] = n - missed
     return depths, reached
 
@@ -358,7 +412,7 @@ def batch_search_stats(g: Graph, sources, direction: str = OUT):
     if sources.min() < 0 or sources.max() >= g.n:
         raise ValueError(f"source out of range for n={g.n}")
     if not g.weighted:
-        return _msbfs_stats(g.reverse() if direction == OUT else g, sources)
+        return _msbfs_stats(g, sources, direction)
     base = g if direction == OUT else g.reverse()
     mat = base.scipy_matrix()
     depths = np.empty(sources.size, dtype=np.int64)

@@ -211,9 +211,15 @@ def _check_batch(g, sources):
 
 def test_batch_depths_matches_search(monkeypatch):
     # a word budget of 1 splits every batch into 64-source chunks and
-    # unpacks the bitsets one row at a time
-    for budget in (search_module._WORD_BUDGET, 1):
+    # unpacks the bitsets one vertex at a time; push costs of 0 make every
+    # level push from the frontier, a huge one makes every level pull
+    default = search_module._WORD_BUDGET
+    for budget, push_cost, push_start in (
+            (default, search_module._PUSH_COST, search_module._PUSH_START),
+            (default, 0, 0), (1, 0, 0), (1, 1 << 62, 0)):
         monkeypatch.setattr(search_module, "_WORD_BUDGET", budget)
+        monkeypatch.setattr(search_module, "_PUSH_COST", push_cost)
+        monkeypatch.setattr(search_module, "_PUSH_START", push_start)
         rng = np.random.default_rng(47)
         for i in range(40):
             n = int(rng.integers(2, 40))
@@ -230,7 +236,8 @@ def test_batch_depths_matches_search(monkeypatch):
         for k in (63, 64, 65, 129):
             _check_batch(g, rng.integers(0, g.n, size=k))
         _check_batch(build_graph(5, [], directed=True), [4, 0, 4])
-        # deeper than 128 levels; directed, so IN trees stop at the source
+        # 300 levels of small frontiers; directed, so IN trees stop at the
+        # source
         deep = build_graph(300, [(i, i + 1) for i in range(299)], directed=True)
         _check_batch(deep, [0, 299, 150, 0])
         _check_batch(path_graph(260), rng.permutation(260)[:70])
@@ -244,24 +251,6 @@ def test_batch_depths_matches_search(monkeypatch):
         for bad in ([-1], [20]):
             with pytest.raises(ValueError, match="out of range"):
                 batch_search_stats(g, bad, OUT)
-
-
-def test_batch_search_stats_threads_share_one_graph():
-    # bench --threads runs batches concurrently over one Graph, including
-    # the first (lazy) build of its reverse view
-    from concurrent.futures import ThreadPoolExecutor
-
-    def make():
-        return random_graph(np.random.default_rng(59), 300, 900,
-                            directed=True, connected=True)
-
-    g_seq, g_par = make(), make()
-    jobs = [(np.arange(k, 300, 7), OUT if k % 2 else IN) for k in range(7)] * 3
-    expected = [batch_search_stats(g_seq, src, d) for src, d in jobs]
-    with ThreadPoolExecutor(max_workers=6) as pool:
-        got = list(pool.map(lambda job: batch_search_stats(g_par, *job), jobs))
-    for (d_exp, r_exp), (d_got, r_got) in zip(expected, got):
-        assert np.array_equal(d_exp, d_got) and np.array_equal(r_exp, r_got)
 
 
 def test_zero_weight_edges():
@@ -288,20 +277,26 @@ def test_search_trees_are_concurrency_safe_values():
 
 
 def test_concurrent_searches_share_one_graph():
-    # many searches race over one Graph, including the first (lazy) builds
-    # of the reverse view; results must match the sequential ones exactly
+    # many searches and batches (bench --threads) race over one Graph,
+    # including the first (lazy) builds of the reverse view; results must
+    # match the sequential ones exactly
     from concurrent.futures import ThreadPoolExecutor
 
     def make():
         return random_graph(np.random.default_rng(53), 120, 360,
                             directed=True, connected=True)
 
+    def run(g, job):
+        if isinstance(job, int):
+            return search(g, job, IN if job % 2 else OUT).depth
+        sources, direction = job
+        return [a.tolist() for a in batch_search_stats(g, sources, direction)]
+
     g_seq, g_par = make(), make()
     assert g_seq == g_par
-    expected = [search(g_seq, v, IN if v % 2 else OUT).depth
-                for v in range(g_seq.n)]
+    jobs = list(range(g_seq.n))
+    jobs += [(np.arange(k, g_seq.n, 7), OUT if k % 2 else IN) for k in range(7)] * 3
+    expected = [run(g_seq, job) for job in jobs]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        got = list(pool.map(
-            lambda v: search(g_par, v, IN if v % 2 else OUT).depth,
-            range(g_par.n)))
+        got = list(pool.map(lambda job: run(g_par, job), jobs))
     assert got == expected
