@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, GraphError, InfiniteDiameterError, finite_diameter_check
-from .oracle import APSP_CAP_DEFAULT, exact_apsp
+from .oracle import exact_diameter
 from .search import (IN, OUT, batch_depths, nearest_high_degree,
-                     nearest_in_set, nearest_s, search, _bfs, _dijkstra,
-                     _gather)
+                     nearest_in_set, nearest_s, search, _gather, _search_from)
 
 DEFAULT_SAMPLE_CONST = 2.0
 DEFAULT_RERUN_CAP = 64
@@ -129,14 +128,10 @@ class _Deepest:
 
 def _near_sets_all(g: Graph, s: int):
     """members[v], dists[v] = the s closest out-vertices of every v."""
-    indptr, indices, weights = g.indptr, g.indices, g.weights
     members = np.empty((g.n, s), dtype=np.int64)
     mdists = np.empty((g.n, s), dtype=np.int64)
     for v in range(g.n):
-        if weights is None:
-            dist, order = _bfs(indptr, indices, g.n, v, limit=s)
-        else:
-            dist, order = _dijkstra(indptr, indices, weights, g.n, v, limit=s)
+        dist, order = _search_from(g, np.array([v], dtype=np.int64), OUT, s)
         if order.size < s:
             raise InfiniteDiameterError(
                 f"graph has infinite diameter: vertex {v} reaches only "
@@ -235,7 +230,7 @@ def _sampled_core(g, s, seed, sample_const, max_reruns, method):
         sample = np.sort(rng.choice(n, size=size, replace=False))
         tracker = _Deepest()
         tracker.offer_batch(batch_depths(g, sample, OUT), sample, OUT)
-        _, dist_to_sample = nearest_in_set(g, sample, OUT)
+        dist_to_sample = nearest_in_set(g, sample, OUT)
         w = int(np.argmax(dist_to_sample))
         tree_w = search(g, w, OUT)
         tracker.offer(tree_w.depth, w, OUT)
@@ -290,27 +285,15 @@ def dense_estimate(g: Graph, s: int | None = None) -> Estimate:
     """
     _require_unweighted(g, "dense_estimate")
     _require_finite(g)
-    n = g.n
-    s = _clamp_s(g, s, _iceil((g.m / n) ** (1.0 / 3.0)) if g.m else 1)
-
-    fwd_tr, fwd_members, fwd_dists = _aingworth_sweep(g, s)
-    if g.directed:
-        rev_tr, rev_members, rev_dists = _aingworth_sweep(g.reverse(), s)
-    else:
-        rev_tr, rev_members, rev_dists = fwd_tr, fwd_members, fwd_dists
-
+    s = _clamp_s(g, s, _iceil((g.m / g.n) ** (1.0 / 3.0)) if g.m else 1)
+    fwd_tr, rev_tr, radii_out, radii_in, reach_bits, in_bits = _pair_scan(g, s)
     tracker = _Deepest()
     tracker.offer(fwd_tr.depth, fwd_tr.source, fwd_tr.direction)
     tracker.offer(rev_tr.depth, rev_tr.source, _FLIP[rev_tr.direction])
     value = tracker.depth
     witness = tracker.witness()
-
-    radii_out = fwd_dists[:, -1]
-    radii_in = rev_dists[:, -1]
-    reach_bits = _reach_bitset(g, fwd_members, fwd_dists)
-    in_bits = _tree_bitset(rev_members, rev_dists, n)
     max_in = int(radii_in.max())
-    for u in range(n):
+    for u in range(g.n):
         if radii_out[u] + max_in <= value:
             continue
         allowed = ~np.bitwise_and(in_bits, reach_bits[u]).any(axis=1)
@@ -330,37 +313,41 @@ def _truncated_tree(members_row, dists_row):
     return members_row[dists_row < dists_row[-1]]
 
 
-def _tree_bitset(members, mdists, n):
-    words = (n + 63) >> 6
-    bits = np.zeros((len(members), words), dtype=np.uint64)
-    for i in range(len(members)):
-        verts = _truncated_tree(members[i], mdists[i])
-        _set_bits(bits[i], verts)
-    return bits
+def _tree_bitsets(members, mdists, n, g: Graph | None = None):
+    """Row i: bitset of the truncated tree of near set i.
 
-
-def _reach_bitset(g: Graph, members, mdists):
-    """Bitsets of each truncated out-tree together with its out-neighbors.
-
-    A pair passes the scan iff this closed reach is disjoint from the
-    other side's tree: that encodes both "no shared vertex" and "no edge
-    between the trees" in one word-wise AND.
+    With ``g``, each row also holds the tree's out-neighbors in ``g``, its
+    closed reach.  A pair passes the scan iff the closed reach of one side
+    is disjoint from the other side's tree: that encodes both "no shared
+    vertex" and "no edge between the trees" in one word-wise AND.
     """
-    words = (g.n + 63) >> 6
-    bits = np.zeros((g.n, words), dtype=np.uint64)
-    for u in range(g.n):
-        verts = _truncated_tree(members[u], mdists[u])
-        if verts.size:
-            nbrs, _ = _gather(g.indptr, g.indices, verts)
-            verts = np.concatenate([verts, nbrs])
-        _set_bits(bits[u], verts)
+    rows, cols = np.nonzero(mdists < mdists[:, -1:])
+    verts = members[rows, cols]
+    if g is not None:
+        nbrs, counts = _gather(g.indptr, g.indices, verts)
+        rows = np.concatenate([rows, np.repeat(rows, counts)])
+        verts = np.concatenate([verts, nbrs])
+    bits = np.zeros((len(members), (n + 63) >> 6), dtype=np.uint64)
+    np.bitwise_or.at(bits, (rows, verts >> 6),
+                     np.uint64(1) << (verts & 63).astype(np.uint64))
     return bits
 
 
-def _set_bits(row: np.ndarray, verts: np.ndarray):
-    if verts.size:
-        np.bitwise_or.at(row, verts >> 6,
-                         np.uint64(1) << (verts & 63).astype(np.uint64))
+def _pair_scan(g: Graph, s: int):
+    """Both near-set sweeps of the pair scan and the bitsets it ANDs.
+
+    Returns the sweeps' trackers on ``g`` and on its reverse, the out- and
+    in-radii of every vertex, the closed reach of every truncated out-tree
+    and the bitset of every truncated in-tree.
+    """
+    fwd_tr, fwd_members, fwd_dists = _aingworth_sweep(g, s)
+    if g.directed:
+        rev_tr, rev_members, rev_dists = _aingworth_sweep(g.reverse(), s)
+    else:
+        rev_tr, rev_members, rev_dists = fwd_tr, fwd_members, fwd_dists
+    return (fwd_tr, rev_tr, fwd_dists[:, -1], rev_dists[:, -1],
+            _tree_bitsets(fwd_members, fwd_dists, g.n, g),
+            _tree_bitsets(rev_members, rev_dists, g.n))
 
 
 def dense_condition_pairs(g: Graph, s: int):
@@ -372,15 +359,7 @@ def dense_condition_pairs(g: Graph, s: int):
     _require_unweighted(g, "dense_condition_pairs")
     _require_finite(g)
     s = _clamp_s(g, s, 1)
-    _, fwd_members, fwd_dists = _aingworth_sweep(g, s)
-    if g.directed:
-        _, rev_members, rev_dists = _aingworth_sweep(g.reverse(), s)
-    else:
-        rev_members, rev_dists = fwd_members, fwd_dists
-    reach_bits = _reach_bitset(g, fwd_members, fwd_dists)
-    in_bits = _tree_bitset(rev_members, rev_dists, g.n)
-    radii_out = fwd_dists[:, -1]
-    radii_in = rev_dists[:, -1]
+    _, _, radii_out, radii_in, reach_bits, in_bits = _pair_scan(g, s)
     hits = []
     for u in range(g.n):
         allowed = ~np.bitwise_and(in_bits, reach_bits[u]).any(axis=1)
@@ -409,7 +388,7 @@ def sparse_estimate(g: Graph, depth_hint: int, degree_threshold: int) -> Estimat
     high = np.flatnonzero(g.out_degrees >= degree_threshold)
     if high.size:
         tracker.offer_batch(batch_depths(g, high, OUT), high, OUT)
-        _, dist_high = nearest_high_degree(g, degree_threshold)
+        dist_high = nearest_high_degree(g, degree_threshold)
         w = int(np.argmax(dist_high))
         radius = min(depth_hint + 1, int(dist_high[w]))
     else:
@@ -446,24 +425,28 @@ def four_fifths_estimate(g: Graph, distance_oracle=None) -> Estimate:
     """Undirected estimator with floor(4D/5) <= value <= D.
 
     ``distance_oracle`` maps a graph to (distance_matrix, additive_error)
-    with additive_error in {0, 2}; by default the exact all-pairs oracle
-    (error 0) stands in for an additive-2 scheme.  The oracle maximum
-    minus its error bound is returned directly when it is >= 4; the value
-    3 case falls back to the pair-scan estimator and <= 2 to the near-set
-    estimator, which cover the remaining small diameters.
+    with additive_error in {0, 2}.  By default the exact diameter (error
+    0), streamed through one search per vertex without a distance matrix,
+    stands in for an additive-2 scheme; its witness is the same
+    lexicographically smallest farthest pair a matrix argmax would give.
+    The oracle maximum minus its error bound is returned directly when it
+    is >= 4; the value 3 case falls back to the pair-scan estimator and
+    <= 2 to the near-set estimator, which cover the remaining small
+    diameters.
     """
     if g.directed:
         raise GraphError("four_fifths_estimate requires an undirected graph")
     _require_unweighted(g, "four_fifths_estimate")
     _require_finite(g)
     if distance_oracle is None:
-        distance_oracle = lambda graph: (
-            exact_apsp(graph, cap=max(graph.n, APSP_CAP_DEFAULT)), 0)
-    dmat, err = distance_oracle(g)
-    if err not in (0, 2):
-        raise ValueError(f"additive error bound must be 0 or 2, got {err}")
-    top = int(dmat.max())
-    a, b = (int(x) for x in divmod(int(np.argmax(dmat)), g.n))
+        exact = exact_diameter(g)
+        top, (a, b), err = exact.diameter.value, exact.witness, 0
+    else:
+        dmat, err = distance_oracle(g)
+        if err not in (0, 2):
+            raise ValueError(f"additive error bound must be 0 or 2, got {err}")
+        top = int(dmat.max())
+        a, b = (int(x) for x in divmod(int(np.argmax(dmat)), g.n))
     dhat = max(0, top - err)
     if dhat >= 4:
         return Estimate(dhat, "four-fifths", Witness("distance", pair=(a, b)),

@@ -175,8 +175,9 @@ def build_graph(n, edges, directed=False) -> Graph:
 
     ``edges`` is an iterable of (u, v) or (u, v, weight) tuples; mixing the
     two forms is rejected.  Endpoints must lie in [0, n); weights must be
-    nonnegative integers.  Self loops are dropped, duplicates collapse to
-    the minimum weight, and undirected input is symmetrized.
+    nonnegative integers, and no path may be longer than 2^53, that is
+    (n - 1) * max weight <= 2^53.  Self loops are dropped, duplicates
+    collapse to the minimum weight, and undirected input is symmetrized.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
@@ -205,6 +206,11 @@ def build_graph(n, edges, directed=False) -> Graph:
             dst.append(u)
             wts.append(w)
 
+    # the float64 scipy Dijkstra and the int64 heap Dijkstra agree exactly
+    # only while every path length stays within 2^53
+    if weighted and (n - 1) * max(wts, default=0) > 2 ** 53:
+        raise GraphError(f"weight {max(wts)} can make a path over {n} "
+                         f"vertices longer than 2^53")
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     wts = np.asarray(wts, dtype=np.int64)

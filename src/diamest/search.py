@@ -1,9 +1,11 @@
-"""Single-source search primitives consumed by every estimator.
+"""Search primitives consumed by every estimator.
 
-Provides full and truncated breadth-first / Dijkstra searches with a fixed
-(distance, id) settle order, extraction of the s closest vertices of a
-vertex, and nearest-member-of-a-set computation done with one search from
-a virtual super node.
+Two kernels run every single search: a level BFS for unweighted graphs and
+a binary-heap Dijkstra for weighted ones.  Both start from a sorted set of
+sources, settle vertices in (distance, id) order and can stop after a
+given number of settles.  One source gives full and truncated search
+trees and the s closest vertices of a vertex; a whole vertex set as the
+sources gives every vertex's distance to that set.
 
 Searches never mutate the graph; each owns its private arrays, so any
 number may run concurrently over one shared Graph.  Bulk depth queries
@@ -92,18 +94,18 @@ def _gather(indptr, indices, frontier):
     return indices[base + within], counts
 
 
-def _bfs(indptr, indices, n, source, limit=None):
-    """Level BFS; settles vertices in (distance, id) order.
+def _bfs(indptr, indices, n, sources, limit=None):
+    """Level BFS from the sorted, distinct ``sources``.
 
-    With ``limit`` the search stops after that many settles, trimming the
-    last level by ascending id so truncation agrees with the tie-break.
-    Returns (dist, order).
+    Settles vertices in (distance, id) order.  With ``limit`` the search
+    stops after that many settles, trimming the last level by ascending id
+    so truncation agrees with the tie-break.  Returns (dist, order).
     """
     dist = np.full(n, UNREACHED, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
+    dist[sources] = 0
+    frontier = sources
     parts = [frontier]
-    settled = 1
+    settled = frontier.size
     level = 0
     while frontier.size and (limit is None or settled < limit):
         nbrs, _ = _gather(indptr, indices, frontier)
@@ -123,13 +125,17 @@ def _bfs(indptr, indices, n, source, limit=None):
     return dist, np.concatenate(parts)
 
 
-def _dijkstra(indptr, indices, weights, n, source, limit=None):
-    """Binary-heap Dijkstra settling in (distance, id) order."""
+def _dijkstra(indptr, indices, weights, n, sources, limit=None):
+    """Binary-heap Dijkstra from the sorted, distinct ``sources``.
+
+    Settles vertices in (distance, id) order and stops after ``limit``
+    settles when one is given.  Returns (dist, order).
+    """
     dist = np.full(n, UNREACHED, dtype=np.int64)
     done = np.zeros(n, dtype=bool)
     order = []
-    heap = [(0, source)]
-    dist[source] = 0
+    heap = [(0, int(v)) for v in sources]  # sorted, so already a heap
+    dist[sources] = 0
     while heap:
         d, v = heapq.heappop(heap)
         if done[v]:
@@ -148,15 +154,20 @@ def _dijkstra(indptr, indices, weights, n, source, limit=None):
     return dist, np.asarray(order, dtype=np.int64)
 
 
+def _search_from(g: Graph, sources: np.ndarray, direction: str, limit=None):
+    """(dist, order) of one search from the sorted, distinct ``sources``:
+    BFS on unweighted graphs, Dijkstra on weighted ones."""
+    indptr, indices, weights = _forward_view(g, direction)
+    if weights is None:
+        return _bfs(indptr, indices, g.n, sources, limit)
+    return _dijkstra(indptr, indices, weights, g.n, sources, limit)
+
+
 def search(g: Graph, v: int, direction: str = OUT) -> SearchTree:
     """Exact single-source distances from/to ``v`` (BFS or Dijkstra)."""
     if not (0 <= v < g.n):
         raise ValueError(f"source {v} out of range for n={g.n}")
-    indptr, indices, weights = _forward_view(g, direction)
-    if weights is None:
-        dist, order = _bfs(indptr, indices, g.n, v)
-    else:
-        dist, order = _dijkstra(indptr, indices, weights, g.n, v)
+    dist, order = _search_from(g, np.array([v], dtype=np.int64), direction)
     dist.setflags(write=False)
     order.setflags(write=False)
     return SearchTree(v, direction, dist, order)
@@ -170,11 +181,7 @@ def nearest_s(g: Graph, v: int, s: int, direction: str = OUT) -> NearSet:
     """
     if not (1 <= s <= g.n):
         raise ValueError(f"s must be in [1, {g.n}], got {s}")
-    indptr, indices, weights = _forward_view(g, direction)
-    if weights is None:
-        dist, order = _bfs(indptr, indices, g.n, v, limit=s)
-    else:
-        dist, order = _dijkstra(indptr, indices, weights, g.n, v, limit=s)
+    dist, order = _search_from(g, np.array([v], dtype=np.int64), direction, s)
     if order.size < s:
         raise InfiniteDiameterError(
             f"graph has infinite diameter: only {order.size} of {s} vertices "
@@ -186,16 +193,12 @@ def nearest_s(g: Graph, v: int, s: int, direction: str = OUT) -> NearSet:
     return NearSet(v, direction, s, members, mdists)
 
 
-def nearest_in_set(g: Graph, members, direction: str = OUT):
-    """Closest member of a vertex set, for every vertex, in one search.
+def nearest_in_set(g: Graph, members, direction: str = OUT) -> np.ndarray:
+    """Distance between every vertex and a vertex set, in one search.
 
-    Equivalent to attaching a virtual super node behind the set and running
-    a single search from it; distances are reported without the auxiliary
-    hop.  Direction OUT gives d(v, set) (the set member is the target), IN
-    gives d(set, v).  Ties go to the smaller member id.
-
-    Returns (closest, dist): int64 arrays with closest=-1/dist=UNREACHED
-    for vertices that cannot reach (or be reached from) the set.
+    Direction OUT gives d(v, set) (the set member is the target), IN gives
+    d(set, v).  Returns an int64 array with UNREACHED for the vertices
+    that cannot reach (or be reached from) the set.
     """
     members = np.unique(np.asarray(members, dtype=np.int64))
     if members.size == 0:
@@ -204,67 +207,18 @@ def nearest_in_set(g: Graph, members, direction: str = OUT):
         raise ValueError("member out of range")
     # distance from v to the set is a distance in the reverse graph from
     # the set to v, so direction OUT traverses reversed arcs
-    indptr, indices, weights = _forward_view(g, IN if direction == OUT else OUT)
-
-    dist = np.full(g.n, UNREACHED, dtype=np.int64)
-    closest = np.full(g.n, -1, dtype=np.int64)
-    dist[members] = 0
-    closest[members] = members
-
-    if weights is None:
-        frontier = members
-        level = 0
-        while frontier.size:
-            nbrs, counts = _gather(indptr, indices, frontier)
-            if nbrs.size == 0:
-                break
-            labels = np.repeat(closest[frontier], counts)
-            keep = dist[nbrs] == UNREACHED
-            nbrs, labels = nbrs[keep], labels[keep]
-            if nbrs.size == 0:
-                break
-            # first occurrence after a (vertex, label) lexsort = minimum label
-            pick = np.lexsort((labels, nbrs))
-            nbrs, labels = nbrs[pick], labels[pick]
-            first = np.ones(nbrs.size, dtype=bool)
-            first[1:] = nbrs[1:] != nbrs[:-1]
-            new, new_labels = nbrs[first], labels[first]
-            level += 1
-            dist[new] = level
-            closest[new] = new_labels
-            frontier = new
-    else:
-        done = np.zeros(g.n, dtype=bool)
-        heap = [(0, int(u), int(u)) for u in members]
-        heapq.heapify(heap)
-        while heap:
-            d, lbl, v = heapq.heappop(heap)
-            if done[v]:
-                continue
-            done[v] = True
-            dist[v] = d
-            closest[v] = lbl
-            row = slice(indptr[v], indptr[v + 1])
-            for u, w in zip(indices[row], weights[row]):
-                if not done[u] and d + w <= dist[u]:
-                    if d + w < dist[u]:
-                        dist[u] = d + w
-                    heapq.heappush(heap, (int(d + w), lbl, int(u)))
-        dist[~done] = UNREACHED
-        closest[~done] = -1
-    return closest, dist
+    return _search_from(g, members, IN if direction == OUT else OUT)[0]
 
 
-def nearest_high_degree(g: Graph, degree: int):
-    """Closest vertex of out-degree >= ``degree``, for every vertex.
+def nearest_high_degree(g: Graph, degree: int) -> np.ndarray:
+    """Distance from every vertex to its closest vertex of out-degree >=
+    ``degree``.
 
-    An empty candidate set is legal: every vertex then maps to -1 with an
-    UNREACHED distance.
+    An empty candidate set is legal: every distance is then UNREACHED.
     """
     cands = np.flatnonzero(g.out_degrees >= degree)
     if cands.size == 0:
-        return (np.full(g.n, -1, dtype=np.int64),
-                np.full(g.n, UNREACHED, dtype=np.int64))
+        return np.full(g.n, UNREACHED, dtype=np.int64)
     return nearest_in_set(g, cands, OUT)
 
 

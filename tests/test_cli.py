@@ -93,6 +93,21 @@ def test_exact_empty_graph_exit_1(capsys, tmp_path):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_weights_past_2_to_53_exit_1(capsys, tmp_path):
+    # path lengths past 2^53 used to wrap to negative values, break the
+    # exact oracle with an IndexError, or overflow int64 in build_graph
+    for i, (w1, w2) in enumerate(((2 ** 62, 2 ** 62), (2 ** 53 + 1, 1),
+                                  (2 ** 63, 1))):
+        path = tmp_path / f"heavy{i}.edges"
+        path.write_text(f"3 2 w\n0 1 {w1}\n1 2 {w2}\n")
+        for argv in (["exact"], ["estimate", "--method", "two-approx"],
+                     ["estimate", "--method", "exact"]):
+            code, out, err = _run(capsys, argv + ["--input", str(path)])
+            assert code == 1 and out == ""
+            assert err.startswith(f"{path}: ") and "2^53" in err
+            assert "Traceback" not in err
+
+
 def test_sparse_override_requires_both(capsys, p10_file):
     code, _, err = _run(capsys, ["estimate", "--input", p10_file,
                                  "--method", "sparse", "--htilde", "4"])

@@ -295,6 +295,40 @@ def test_dense_value_matches_exhaustive_scan():
         assert est.value == max(tree_part, pair_part)
 
 
+def test_dense_condition_pairs_match_per_pair_check():
+    # the bitset scan against a per-pair re-derivation: both truncated
+    # trees from nearest_s, then the two checks recompute_witness makes
+    from diamest import IN, OUT, nearest_s
+
+    rng = np.random.default_rng(181)
+    accepted = rejected = 0
+    for i in range(80):
+        n = int(rng.integers(4, 18))
+        g = random_graph(rng, n, int(rng.integers(n, 3 * n)),
+                         directed=bool(i % 2), connected=True)
+        s = i % 4 + 1
+        outs = [nearest_s(g, u, s, OUT) for u in range(n)]
+        ins = [nearest_s(g, v, s, IN) for v in range(n)]
+
+        def tree(near):
+            return set(near.members[near.member_dists < near.radius].tolist())
+
+        expected = set()
+        for u in range(n):
+            tree_out = tree(outs[u])
+            reach = {int(y) for x in tree_out for y in g.neighbors(x)}
+            for v in range(n):
+                tree_in = tree(ins[v])
+                if u != v and not tree_out & tree_in and not reach & tree_in:
+                    expected.add((u, v, outs[u].radius + ins[v].radius))
+        got = dense_condition_pairs(g, s)
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+        accepted += len(expected)
+        rejected += n * (n - 1) - len(expected)
+    assert accepted > 0 and rejected > 0
+
+
 # ---- sparse estimator ---------------------------------------------------------
 
 def test_sparse_star():
@@ -387,6 +421,24 @@ def test_four_fifths_degraded_oracle():
         d = exact_diameter(g).diameter.value
         est = four_fifths_estimate(g, distance_oracle=degraded(i))
         assert (4 * d) // 5 <= est.value <= d
+
+
+def test_four_fifths_default_oracle_matches_matrix_oracle():
+    # the streamed exact diameter gives the matrix oracle's maximum and
+    # its first argmax, so value, witness and branch all agree
+    from diamest import exact_apsp
+
+    rng = np.random.default_rng(163)
+    graphs = [build_graph(1, []), complete_graph(5), cycle_graph(7),
+              path_graph(6), star_graph(6)]
+    graphs += _sweep_graphs(rng, 24, n_hi=40, directed_mix=False)
+    branches = set()
+    for g in graphs:
+        est = four_fifths_estimate(g)
+        assert est == four_fifths_estimate(
+            g, distance_oracle=lambda h: (exact_apsp(h), 0))
+        branches.add(est.param("branch"))
+    assert branches == {"direct", "dense", "near"}
 
 
 # ---- sampling estimator -------------------------------------------------------
