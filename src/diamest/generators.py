@@ -49,30 +49,31 @@ def _rng(spec: GenSpec) -> np.random.Generator:
 
 
 def _sample_pairs(rng, n, m, directed):
-    """m distinct non-loop vertex pairs, unordered unless directed."""
-    chosen = {}
-    while len(chosen) < m:
-        need = m - len(chosen)
+    """m distinct non-loop vertex pairs, unordered unless directed, as an
+    (m, 2) array.
+
+    Draws chunks of 2 * need + 8 pairs; within a chunk the first draw of
+    a pair not chosen yet wins, in draw order, until m are chosen."""
+    chosen = np.empty(0, dtype=np.int64)  # pair (u, v) as key u * n + v
+    while chosen.size < m:
+        need = m - chosen.size
         us = rng.integers(0, n, size=2 * need + 8)
         vs = rng.integers(0, n, size=2 * need + 8)
-        for u, v in zip(us, vs):
-            if u == v:
-                continue
-            key = (int(u), int(v)) if directed else (min(int(u), int(v)), max(int(u), int(v)))
-            if key not in chosen:
-                chosen[key] = None
-                if len(chosen) == m:
-                    break
-    return list(chosen)
+        if not directed:
+            us, vs = np.minimum(us, vs), np.maximum(us, vs)
+        keys = (us * n + vs)[us != vs]
+        keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
+        fresh = keys[~np.isin(keys, chosen)]
+        chosen = np.concatenate((chosen, fresh[:need]))
+    return np.column_stack(np.divmod(chosen, n))
 
 
 def _backbone(rng, n, directed):
-    """Random Hamiltonian path (undirected) or cycle (directed)."""
+    """Random Hamiltonian path (undirected) or cycle (directed), as an
+    (n - 1, 2) or (n, 2) array."""
     perm = rng.permutation(n)
-    edges = [(int(perm[i]), int(perm[i + 1])) for i in range(n - 1)]
-    if directed and n > 1:
-        edges.append((int(perm[-1]), int(perm[0])))
-    return edges
+    ends = np.roll(perm, -1) if directed and n > 1 else perm[1:]
+    return np.column_stack((perm[:ends.size], ends))
 
 
 def _connected_random(spec, rng, sampler):
@@ -80,7 +81,7 @@ def _connected_random(spec, rng, sampler):
         g = build_graph(spec.n, sampler(rng), directed=spec.directed)
         if finite_diameter_check(g):
             return g
-    edges = sampler(rng) + _backbone(rng, spec.n, spec.directed)
+    edges = np.concatenate((sampler(rng), _backbone(rng, spec.n, spec.directed)))
     g = build_graph(spec.n, edges, directed=spec.directed)
     if not finite_diameter_check(g):
         raise RuntimeError("backbone overlay failed to connect the graph")
@@ -139,11 +140,9 @@ def _random_family(spec: GenSpec, rng) -> Graph:
             if spec.directed:
                 mask = r.random((n, n)) < spec.p
                 np.fill_diagonal(mask, False)
-                us, vs = np.nonzero(mask)
             else:
                 mask = np.triu(r.random((n, n)) < spec.p, k=1)
-                us, vs = np.nonzero(mask)
-            return list(zip(us.tolist(), vs.tolist()))
+            return np.argwhere(mask)
 
         return _connected_random(spec, rng, sampler)
     # bounded_degree: Hamiltonian backbone plus random edges that respect
@@ -154,8 +153,8 @@ def _random_family(spec: GenSpec, rng) -> Graph:
     deg_cap = spec.max_degree
     backbone = _backbone(rng, n, spec.directed)
     if not spec.directed:
-        backbone = [(min(u, v), max(u, v)) for u, v in backbone]
-    edges = set(backbone)
+        backbone.sort(axis=1)
+    edges = set(map(tuple, backbone.tolist()))
     deg = np.zeros(n, dtype=np.int64)
     for u, v in edges:
         deg[u] += 1
@@ -241,8 +240,7 @@ def _attach_weights(g: Graph, rng, lo: int, hi: int) -> Graph:
         keep = rows < cols
         rows, cols = rows[keep], cols[keep]
     wts = rng.integers(lo, hi + 1, size=rows.size)
-    edges = list(zip(rows.tolist(), cols.tolist(), wts.tolist()))
-    return build_graph(g.n, edges, directed=g.directed)
+    return build_graph(g.n, np.column_stack((rows, cols, wts)), directed=g.directed)
 
 
 def spec_metadata(spec: GenSpec) -> str:

@@ -5,6 +5,15 @@ optional parallel integer weight array.  Undirected graphs keep both arcs
 of every edge so that a single traversal code path serves both kinds; the
 logical edge count ``m`` counts each undirected edge once.
 
+Every graph is built by one array core, :func:`build_graph`: an edge
+array goes through the range, weight and 2^53 checks, symmetrization,
+sorting and deduplication as whole-array operations.  The edge-list
+reader hands it the file body as one int64 array read by ``np.loadtxt``;
+only a body that is not plain integers in range is read line by line,
+which names the first bad line.  Full weighted searches then run scipy's
+Dijkstra (see :mod:`diamest.search`), so no per-edge Python loop runs
+between reading a file and its first full search.
+
 All arrays are made read-only after construction, so a Graph can be shared
 freely between concurrent searches.  The reverse graph and the scipy
 matrix view are built lazily and cached; rebuilding them is idempotent, so
@@ -170,62 +179,76 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, {kind}{w})"
 
 
+def _edge_array(edges):
+    """(m, 2) or (m, 3) array of the edges: int64 where every value fits,
+    else Python ints in an object array, so that the checks see them."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+        arity = set(map(len, edges))
+        if len(arity) > 1 and 3 in arity:
+            raise GraphError("cannot mix weighted and unweighted edges")
+        if not arity <= {2, 3}:
+            raise GraphError("edges must be (u, v) or (u, v, weight)")
+        width = arity.pop() if arity else 2
+        try:
+            edges = np.array(edges, dtype=np.int64).reshape(-1, width)
+        except OverflowError:
+            edges = np.array(edges, dtype=object).reshape(-1, width)
+    if edges.ndim != 2 or edges.shape[1] not in (2, 3) or edges.dtype.kind not in "iuO":
+        raise GraphError(f"edge array must be (m, 2) or (m, 3) integers, "
+                         f"got shape {edges.shape} of {edges.dtype}")
+    return edges
+
+
 def build_graph(n, edges, directed=False) -> Graph:
     """Build a canonical Graph from an edge list.
 
-    ``edges`` is an iterable of (u, v) or (u, v, weight) tuples; mixing the
-    two forms is rejected.  Endpoints must lie in [0, n); weights must be
-    nonnegative integers, and no path may be longer than 2^53, that is
+    ``edges`` is an (m, 2) or (m, 3) integer array, or an iterable of
+    (u, v) or (u, v, weight) tuples; mixing the two tuple forms is
+    rejected.  Endpoints must lie in [0, n); weights must be nonnegative
+    integers, and no path may be longer than 2^53, that is
     (n - 1) * max weight <= 2^53.  Self loops are dropped, duplicates
     collapse to the minimum weight, and undirected input is symmetrized.
+    A graph left without arcs is unweighted.  An error names the first
+    offending edge in input order.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    edges = list(edges)
-    weighted = any(len(e) == 3 for e in edges)
-    if weighted and not all(len(e) == 3 for e in edges):
-        raise GraphError("cannot mix weighted and unweighted edges")
-
-    src, dst, wts = [], [], []
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            continue
-        w = 1
-        if weighted:
-            w = int(e[2])
-            if w < 0:
-                raise GraphError(f"negative weight {w} on edge ({u},{v})")
-        src.append(u)
-        dst.append(v)
-        wts.append(w)
-        if not directed:
-            src.append(v)
-            dst.append(u)
-            wts.append(w)
-
-    # the float64 scipy Dijkstra and the int64 heap Dijkstra agree exactly
-    # only while every path length stays within 2^53
-    if weighted and (n - 1) * max(wts, default=0) > 2 ** 53:
-        raise GraphError(f"weight {max(wts)} can make a path over {n} "
+    edges = _edge_array(edges)
+    u, v = edges[:, 0], edges[:, 1]
+    loop = u == v
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if edges.shape[1] == 3:
+        bad |= (edges[:, 2] < 0) & ~loop
+    if bad.any():
+        i = int(np.argmax(bad))
+        a, b = int(u[i]), int(v[i])
+        if not (0 <= a < n and 0 <= b < n):
+            raise GraphError(f"edge ({a},{b}) out of range for n={n}")
+        raise GraphError(f"negative weight {int(edges[i, 2])} on edge ({a},{b})")
+    edges = edges[~loop]
+    weighted = edges.shape[1] == 3 and len(edges) > 0  # no arc, no weights
+    # scipy's float64 Dijkstra, which runs every full weighted search, is
+    # exact only while every path length stays within 2^53
+    top = int(edges[:, 2].max()) if weighted else 0
+    if (n - 1) * top > 2 ** 53:
+        raise GraphError(f"weight {top} can make a path over {n} "
                          f"vertices longer than 2^53")
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    wts = np.asarray(wts, dtype=np.int64)
-    if src.size:
-        # sort by (src, dst, weight) so duplicates are adjacent with the
-        # minimum weight first, then drop the duplicates
-        order = np.lexsort((wts, dst, src))
-        src, dst, wts = src[order], dst[order], wts[order]
-        keep = np.ones(src.size, dtype=bool)
-        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        src, dst, wts = src[keep], dst[keep], wts[keep]
-
+    edges = edges.astype(np.int64, copy=False)
+    if not directed:
+        edges = np.concatenate((edges, edges[:, [1, 0, 2][:edges.shape[1]]]))
+    # sort arcs by (src, dst) and keep one per pair with its minimum weight;
+    # src * n + dst fits int64 for any n whose indptr fits in memory
+    key = edges[:, 0] * n + edges[:, 1]
+    order = np.argsort(key)
+    key = key[order]
+    # start of each run of equal keys; key[:1] >= 0 is [True] unless empty
+    first = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))
+    wts = np.minimum.reduceat(edges[order, 2], first) if weighted else None
+    src, dst = np.divmod(key[first], max(n, 1))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return Graph(n, directed, indptr, dst, wts if weighted else None)
+    return Graph(n, directed, indptr, dst, wts)
 
 
 def finite_diameter_check(g: Graph) -> bool:
@@ -255,6 +278,8 @@ def _scaled_weight(token: str, scale: int, lineno: int) -> int:
         value = Decimal(token) * (Decimal(10) ** scale)
     except InvalidOperation:
         raise GraphParseError(f"line {lineno}: bad weight {token!r}") from None
+    if value.is_infinite():
+        raise GraphParseError(f"line {lineno}: bad weight {token!r}")
     if value != value.to_integral_value():
         raise GraphParseError(
             f"line {lineno}: weight {token!r} not integral at scale 10^{scale}")
@@ -264,6 +289,53 @@ def _scaled_weight(token: str, scale: int, lineno: int) -> int:
     return w
 
 
+def _edge_rows(body, n: int, width: int, scale: int):
+    """The edge lines as one (m, width) int64 array, or None when some line
+    needs the line-by-line reader: a comment, a token that is not a plain
+    int64, an endpoint out of range or a negative or scaled-out weight."""
+    if not any(map(str.strip, body)):  # loadtxt warns on empty input
+        return np.empty((0, width), dtype=np.int64)
+    try:
+        rows = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, OverflowError):
+        return None
+    if rows.shape[1] != width or rows[:, :2].min() < 0 or rows[:, :2].max() >= n:
+        return None
+    if width == 3:
+        # scaled weights must stay int64; 10^18 is the largest int64 scale
+        w = rows[:, 2]
+        top = np.iinfo(np.int64).max
+        if not 0 <= scale <= 18 or w.min() < 0 or int(w.max()) * 10 ** scale > top:
+            return None
+        w *= 10 ** scale
+    return rows
+
+
+def _edge_lines(body, first_lineno: int, n: int, width: int, scale: int):
+    """The edge lines as tuples, read one line at a time; raises on the
+    first bad line with its line number."""
+    edges = []
+    for lineno, raw in enumerate(body, start=first_lineno):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != width:
+            raise GraphParseError(
+                f"line {lineno}: expected {width} fields, got {len(parts)}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError(f"line {lineno}: bad endpoint in {line!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphParseError(f"line {lineno}: endpoint out of range for n={n}")
+        if width == 3:
+            edges.append((u, v, _scaled_weight(parts[2], scale, lineno)))
+        else:
+            edges.append((u, v))
+    return edges
+
+
 def parse_edge_list(text: str, directed: bool = False, weight_scale: int = 0) -> Graph:
     """Parse the native edge-list format.
 
@@ -271,48 +343,35 @@ def parse_edge_list(text: str, directed: bool = False, weight_scale: int = 0) ->
     per line: ``u v`` or ``u v weight``, 0-indexed.  ``#`` starts a comment
     line.  Decimal weights are scaled by ``10**weight_scale`` and must come
     out integral (default scale 0: integers only).
+
+    The body is read as one integer array; only a body that is not plain
+    integers in range (comments between edges, decimal weights, errors)
+    is read line by line, which names the first bad line.
     """
-    header = None
-    weighted = False
-    declared_m = 0
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for at, raw in enumerate(lines):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] != "w"):
-                raise GraphParseError(f"line {lineno}: bad header {line!r}")
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: bad header {line!r}") from None
-            weighted = len(parts) == 3
-            declared_m = header[1]
-            continue
-        want = 3 if weighted else 2
-        if len(parts) != want:
-            raise GraphParseError(
-                f"line {lineno}: expected {want} fields, got {len(parts)}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(f"line {lineno}: bad endpoint in {line!r}") from None
-        if not (0 <= u < header[0] and 0 <= v < header[0]):
-            raise GraphParseError(
-                f"line {lineno}: endpoint out of range for n={header[0]}")
-        if weighted:
-            edges.append((u, v, _scaled_weight(parts[2], weight_scale, lineno)))
-        else:
-            edges.append((u, v))
-    if header is None:
+        if line and not line.startswith("#"):
+            break
+    else:
         raise GraphParseError("line 1: missing header")
+    parts = line.split()
+    if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] != "w"):
+        raise GraphParseError(f"line {at + 1}: bad header {line!r}")
+    try:
+        n, declared_m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphParseError(f"line {at + 1}: bad header {line!r}") from None
+    width = 3 if len(parts) == 3 else 2
+    body = lines[at + 1:]
+    edges = _edge_rows(body, n, width, weight_scale)
+    if edges is None:
+        edges = _edge_lines(body, at + 2, n, width, weight_scale)
     if len(edges) != declared_m:
         raise GraphParseError(
             f"header declares {declared_m} edges but file has {len(edges)}")
     try:
-        return build_graph(header[0], edges, directed=directed)
+        return build_graph(n, edges, directed=directed)
     except GraphError as exc:
         raise GraphParseError(str(exc)) from None
 

@@ -1,11 +1,13 @@
 """Search primitives consumed by every estimator.
 
-Two kernels run every single search: a level BFS for unweighted graphs and
-a binary-heap Dijkstra for weighted ones.  Both start from a sorted set of
-sources, settle vertices in (distance, id) order and can stop after a
-given number of settles.  One source gives full and truncated search
-trees and the s closest vertices of a vertex; a whole vertex set as the
-sources gives every vertex's distance to that set.
+Three kernels run every single search.  Unweighted graphs use a level
+BFS.  On weighted graphs a full search runs scipy's Dijkstra, which is
+exact because build_graph keeps every path length within 2^53, and a
+truncated one runs a binary-heap Dijkstra that stops after a given
+number of settles.  All start from a sorted set of sources and give the
+reached vertices in (distance, id) order.  One source gives full and
+truncated search trees and the s closest vertices of a vertex; a whole
+vertex set as the sources gives every vertex's distance to that set.
 
 Searches never mutate the graph; each owns its private arrays, so any
 number may run concurrently over one shared Graph.  Bulk depth queries
@@ -125,41 +127,66 @@ def _bfs(indptr, indices, n, sources, limit=None):
     return dist, np.concatenate(parts)
 
 
-def _dijkstra(indptr, indices, weights, n, sources, limit=None):
-    """Binary-heap Dijkstra from the sorted, distinct ``sources``.
+def _dijkstra(indptr, indices, weights, n, sources, limit):
+    """Binary-heap Dijkstra from the sorted, distinct ``sources``, truncated
+    to the ``limit`` closest vertices in (distance, id) order.
 
-    Settles vertices in (distance, id) order and stops after ``limit``
-    settles when one is given.  Returns (dist, order).
+    Zero-weight arcs can reach a smaller id of a distance class after a
+    larger one, so the search settles the whole class of the limit-th
+    vertex, sorts by (distance, id) and trims.  Returns (dist, order).
     """
     dist = np.full(n, UNREACHED, dtype=np.int64)
     done = np.zeros(n, dtype=bool)
     order = []
     heap = [(0, int(v)) for v in sources]  # sorted, so already a heap
     dist[sources] = 0
+    cut = UNREACHED  # distance of the limit-th settled vertex, once known
     while heap:
         d, v = heapq.heappop(heap)
         if done[v]:
             continue
+        if d > cut:
+            break
         done[v] = True
         order.append(v)
-        if limit is not None and len(order) >= limit:
-            break
+        if len(order) == limit:
+            cut = d
         row = slice(indptr[v], indptr[v + 1])
+        if d == cut and weights[row].all():
+            continue  # only zero-weight arcs can still add to the last class
         for u, w in zip(indices[row], weights[row]):
             nd = d + w
             if nd < dist[u]:
                 dist[u] = nd
                 heapq.heappush(heap, (int(nd), int(u)))
+    order = np.asarray(order, dtype=np.int64)
+    order = order[np.lexsort((order, dist[order]))]
     dist[~done] = UNREACHED
-    return dist, np.asarray(order, dtype=np.int64)
+    dist[order[limit:]] = UNREACHED
+    return dist, order[:limit]
+
+
+def _scipy_search(g: Graph, sources: np.ndarray, direction: str):
+    """(dist, order) of a full weighted search by scipy's Dijkstra, exact
+    because build_graph keeps every path length within 2^53."""
+    mat = (g if direction == OUT else g.reverse()).scipy_matrix()
+    d = _scipy_dijkstra(mat, directed=True, indices=sources, min_only=True)
+    reached = np.flatnonzero(np.isfinite(d))
+    dist = np.full(g.n, UNREACHED, dtype=np.int64)
+    dist[reached] = d[reached]
+    # reached ids ascend, so a stable sort by distance breaks ties by id
+    return dist, reached[np.argsort(dist[reached], kind="stable")]
 
 
 def _search_from(g: Graph, sources: np.ndarray, direction: str, limit=None):
     """(dist, order) of one search from the sorted, distinct ``sources``:
-    BFS on unweighted graphs, Dijkstra on weighted ones."""
+    BFS on unweighted graphs; on weighted ones scipy's Dijkstra when the
+    search is full and the heap Dijkstra when ``limit`` truncates it."""
     indptr, indices, weights = _forward_view(g, direction)
     if weights is None:
         return _bfs(indptr, indices, g.n, sources, limit)
+    if limit is None:
+        return _scipy_search(g, sources, direction)
     return _dijkstra(indptr, indices, weights, g.n, sources, limit)
 
 
@@ -179,6 +206,8 @@ def nearest_s(g: Graph, v: int, s: int, direction: str = OUT) -> NearSet:
     Raises InfiniteDiameterError when fewer than s vertices are reachable
     (the toolkit assumes finite diameter wherever near sets are used).
     """
+    if not (0 <= v < g.n):
+        raise ValueError(f"source {v} out of range for n={g.n}")
     if not (1 <= s <= g.n):
         raise ValueError(f"s must be in [1, {g.n}], got {s}")
     dist, order = _search_from(g, np.array([v], dtype=np.int64), direction, s)
@@ -200,6 +229,8 @@ def nearest_in_set(g: Graph, members, direction: str = OUT) -> np.ndarray:
     d(set, v).  Returns an int64 array with UNREACHED for the vertices
     that cannot reach (or be reached from) the set.
     """
+    if direction not in (OUT, IN):
+        raise ValueError(f"direction must be {OUT!r} or {IN!r}, got {direction!r}")
     members = np.unique(np.asarray(members, dtype=np.int64))
     if members.size == 0:
         raise ValueError("member set must be nonempty")

@@ -1,9 +1,12 @@
 """generators module: family properties, determinism, connectivity."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from diamest import (GenSpec, exact_diameter, finite_diameter_check, generate,
                      write_edge_list)
+from diamest.generators import _sample_pairs
 
 
 def _diam(g):
@@ -103,3 +106,68 @@ def test_small_n_edge_cases():
     assert _diam(generate(GenSpec("cycle", 2))) == 1
     assert _diam(generate(GenSpec("cycle", 2, directed=True))) == 1
     assert _diam(generate(GenSpec("complete", 1))) == 0
+
+
+# sha256 of write_edge_list(generate(spec)): the samplers draw in fixed
+# chunks with first-seen-wins order, so every seed keeps its graph
+PINNED = [
+    (GenSpec("gnm", 200, m=600, seed=5),
+     "3af6530b30b26939a09aa8fa3994f0e019272ad12d5380ef62c97ca8a6edaed0"),
+    (GenSpec("gnm", 150, m=450, seed=6, directed=True),
+     "d3774fb3093f2e236e4a755d82870c75ecbd07a2262824ebc176f16404f0ccef"),
+    (GenSpec("gnm", 100, m=300, seed=7, directed=True, weight_range=(1, 10)),
+     "42e1711ea6e7247007136b816f4dccc1068d9d5a4222240124ea6b6cfc9701cf"),
+    (GenSpec("gnm", 300, m=250, seed=8),  # never connects: backbone overlay
+     "d9b4379db914582b77fe4b5fff86ee4e6e19dd29848eef7e92f5b838fe477ce2"),
+    (GenSpec("gnm", 40, m=700, seed=9),  # near capacity: many chunks
+     "fdfe0ce91d5f6cd3753cd48f62df097257b70998a6a9e94b02593f5418f88521"),
+    (GenSpec("gnm", 30, m=800, seed=10, directed=True, weight_range=(0, 3)),
+     "4788738f293ac29ec80e315e108ab2a83f1a418c7c5f2f86ee540477ccf526d4"),
+    (GenSpec("gnp", 80, p=0.05, seed=3, directed=True),
+     "2d3c65e9de53da8aea665e87e9aec67c88c5431093a31726b0db83dcff08b151"),
+    (GenSpec("gnp", 60, p=0.02, seed=4, weight_range=(5, 5)),
+     "17dd64753a5276ffad54b5f89358b53a94ea7bd3a35be8fc2ad4d96c89772300"),
+    (GenSpec("bounded_degree", 60, max_degree=3, m=80, seed=2),
+     "65d462db4cf0580d5d9bcf69d00ee8ce1c9d47c7d91ea4ed3d2ae54f3531cfc4"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", PINNED)
+def test_generated_graphs_are_pinned(spec, digest):
+    text = write_edge_list(generate(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _reference_sample_pairs(rng, n, m, directed):
+    """The per-draw loop that _sample_pairs vectorizes."""
+    chosen = {}
+    while len(chosen) < m:
+        need = m - len(chosen)
+        us = rng.integers(0, n, size=2 * need + 8)
+        vs = rng.integers(0, n, size=2 * need + 8)
+        for u, v in zip(us.tolist(), vs.tolist()):
+            if u == v:
+                continue
+            key = (u, v) if directed else (min(u, v), max(u, v))
+            if key not in chosen:
+                chosen[key] = None
+                if len(chosen) == m:
+                    break
+    return sorted(chosen)
+
+
+def test_sample_pairs_matches_per_draw_loop():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        directed = bool(rng.integers(0, 2))
+        cap = n * (n - 1) if directed else n * (n - 1) // 2
+        m = int(rng.integers(0, cap + 1))
+        seed = int(rng.integers(0, 2 ** 32))
+        ref_rng = np.random.default_rng(seed)
+        new_rng = np.random.default_rng(seed)
+        want = _reference_sample_pairs(ref_rng, n, m, directed)
+        got = _sample_pairs(new_rng, n, m, directed)
+        assert sorted(map(tuple, got.tolist())) == want
+        # the same number of draws, so later draws see the same stream
+        assert ref_rng.integers(0, 2 ** 62) == new_rng.integers(0, 2 ** 62)

@@ -1,0 +1,245 @@
+"""Ingest path: the array core of build_graph, the edge-list reader and the
+full weighted search, each checked against a second way to the same
+answer.  The property tests draw small graphs with hypothesis, including
+weight 0 and weights at the 2^53 path-length bound."""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diamest import (GraphError, GraphParseError, IN, OUT, build_graph,
+                     parse_edge_list, parse_graph, search, write_edge_list)
+from diamest.cli import main
+from diamest.search import _dijkstra, _forward_view
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def edge_lists(draw, max_n=10):
+    """(n, edges, directed): tuples with loops and duplicates, weighted or
+    not; weights mix 0, small values and the largest legal weight."""
+    n = draw(st.integers(1, max_n))
+    directed = draw(st.booleans())
+    weighted = draw(st.booleans())
+    vertex = st.integers(0, n - 1)
+    top = 2 ** 53 // max(n - 1, 1)
+    weight = st.one_of(st.just(0), st.integers(0, 5), st.just(top),
+                       st.integers(0, top))
+    edge = (st.tuples(vertex, vertex, weight) if weighted
+            else st.tuples(vertex, vertex))
+    return n, draw(st.lists(edge, max_size=3 * n)), directed
+
+
+def _reference_build(n, edges, directed):
+    """(indptr, indices, weights) of the canonical graph by plain Python:
+    no loops, minimum weight per arc, both arcs of an undirected edge."""
+    arcs = {}
+    for e in edges:
+        u, v, w = e[0], e[1], e[2] if len(e) == 3 else 1
+        for a, b in ((u, v),) if directed else ((u, v), (v, u)):
+            if a != b:
+                arcs[a, b] = min(w, arcs.get((a, b), w))
+    indptr = [0] * (n + 1)
+    for a, _ in arcs:
+        indptr[a + 1] += 1
+    for i in range(n):
+        indptr[i + 1] += indptr[i]
+    keys = sorted(arcs)
+    weights = [arcs[k] for k in keys] if arcs and len(edges[0]) == 3 else None
+    return indptr, [b for _, b in keys], weights
+
+
+def _edge_text(n, edges, weighted):
+    header = f"{n} {len(edges)}" + (" w" if weighted else "")
+    return "\n".join([header] + [" ".join(map(str, e)) for e in edges]) + "\n"
+
+
+# ---- build_graph -------------------------------------------------------------
+
+@PROPERTY
+@given(edge_lists())
+def test_build_graph_matches_reference_for_tuples_and_arrays(case):
+    n, edges, directed = case
+    g = build_graph(n, edges, directed=directed)
+    indptr, indices, weights = _reference_build(n, edges, directed)
+    assert g.indptr.tolist() == indptr and g.indices.tolist() == indices
+    assert (g.weights.tolist() if g.weighted else None) == weights
+    width = len(edges[0]) if edges else 2
+    arr = np.array(edges, dtype=np.int64).reshape(-1, width)
+    assert build_graph(n, arr, directed=directed) == g
+    assert build_graph(n, arr.astype(np.uint64), directed=directed) == g
+
+
+def test_build_graph_errors_name_first_offending_edge():
+    with pytest.raises(GraphError, match=r"^edge \(0,5\) out of range for n=3$"):
+        build_graph(3, np.array([[0, 1, 1], [0, 5, 1], [1, 2, -1]]))
+    with pytest.raises(GraphError, match=r"^negative weight -1 on edge \(1,2\)$"):
+        build_graph(3, [(0, 1, 1), (1, 2, -1), (0, 7, 1)])
+    # a self loop is dropped before its weight is looked at
+    assert build_graph(3, [(1, 1, -4), (0, 1, 2)]).m == 1
+    with pytest.raises(GraphError, match=r"^edge \(-1,1\) out of range"):
+        build_graph(3, [(-1, 1)])
+
+
+def test_build_graph_ints_outside_int64_keep_messages():
+    big = 2 ** 64
+    with pytest.raises(GraphError, match=rf"^edge \(0,{big}\) out of range for n=3$"):
+        build_graph(3, [(0, 1), (0, big)])
+    with pytest.raises(GraphError, match=rf"^negative weight {-big} on edge \(0,1\)$"):
+        build_graph(3, [(0, 1, -big)])
+    with pytest.raises(GraphError, match=rf"^weight {big} can make a path over 3 "
+                                          r"vertices longer than 2\^53$"):
+        build_graph(3, [(0, 1, big), (1, 2, 1)])
+    # a dropped self loop may carry any weight
+    g = build_graph(2, [(1, 1, big), (0, 1, 3)])
+    assert g.weights.tolist() == [3, 3]
+
+
+def test_build_graph_rejects_bad_shapes():
+    with pytest.raises(GraphError, match="edge array"):
+        build_graph(3, np.zeros((2, 4), dtype=np.int64))
+    with pytest.raises(GraphError, match="edge array"):
+        build_graph(3, np.zeros((2, 2), dtype=np.float64))
+    with pytest.raises(GraphError, match=r"\(u, v\) or \(u, v, weight\)"):
+        build_graph(3, [(0, 1, 2, 3)])
+
+
+def test_graph_without_arcs_is_unweighted():
+    for edges in ([], np.empty((0, 3), dtype=np.int64), [(1, 1, 4)]):
+        g = build_graph(3, edges)
+        assert not g.weighted and g.m == 0
+    assert not parse_edge_list("3 0 w\n").weighted
+    assert write_edge_list(parse_edge_list("3 1 w\n2 2 7\n")) == "3 0\n"
+
+
+# ---- the edge-list reader ----------------------------------------------------
+
+@PROPERTY
+@given(edge_lists())
+def test_parse_round_trip(case):
+    n, edges, directed = case
+    g = build_graph(n, edges, directed=directed)
+    text = write_edge_list(g)
+    again = parse_graph(text, directed=directed)
+    assert again == g
+    assert write_edge_list(again) == text
+
+
+@PROPERTY
+@given(edge_lists(), st.integers(0, 3))
+def test_parse_equals_build_graph(case, noise):
+    n, edges, directed = case
+    weighted = bool(edges) and len(edges[0]) == 3
+    g = build_graph(n, edges, directed=directed)
+    text = _edge_text(n, edges, weighted)
+    assert parse_edge_list(text, directed=directed) == g
+    # blank lines and comment lines between edges, tabs, CRLF: the same
+    # graph through the line-by-line reader
+    lines = text.splitlines()
+    for k in range(noise):
+        lines.insert(1 + (k * 7) % len(lines), ["", "# note", "  ", "\t#"][k])
+    noisy = "\r\n".join(line.replace(" ", "\t", 1) for line in lines)
+    assert parse_edge_list(noisy, directed=directed) == g
+
+
+# file text, weight scale, exact message; captured before the array reader
+BROKEN = [
+    ("2 1\n0 1 3\n", 0, "line 2: expected 2 fields, got 3"),
+    ("2 1 w\n0 1 3 4\n", 0, "line 2: expected 3 fields, got 4"),
+    ("3 2 w\n0 1\n1 2 1\n", 0, "line 2: expected 3 fields, got 2"),
+    ("3 2\n0 1 # x\n1 2\n", 0, "line 2: expected 2 fields, got 4"),
+    ("3 2 w\n0 1 4 # x\n1 2 1\n", 0, "line 2: expected 3 fields, got 5"),
+    ("3 2\n0 1\n# hello\n1 7\n", 0, "line 4: endpoint out of range for n=3"),
+    ("3 2\n0 1\n1 3\n", 0, "line 3: endpoint out of range for n=3"),
+    ("3 2\n0 1\n-1 2\n", 0, "line 3: endpoint out of range for n=3"),
+    ("3 2\n0 9223372036854775808\n1 2\n", 0, "line 2: endpoint out of range for n=3"),
+    ("3 5\n0 1\n1 9\n", 0, "line 3: endpoint out of range for n=3"),
+    ("3 2 w\n0 5 1\n1 2 -1\n", 0, "line 2: endpoint out of range for n=3"),
+    ("3 2\n0 1\nx 2\n", 0, "line 3: bad endpoint in 'x 2'"),
+    ("3 2\n0 1.0\n1 2\n", 0, "line 2: bad endpoint in '0 1.0'"),
+    ("3 2 w\n0 1 4\n1 2 -3\n", 0, "line 3: negative weight '-3'"),
+    ("3 2 w\n0 1 -1\n1 7 1\n", 0, "line 2: negative weight '-1'"),
+    ("2 1 w\n0 1 -9223372036854775809\n", 0,
+     "line 2: negative weight '-9223372036854775809'"),
+    ("3 2 w\n0 1 q\n1 2 1\n", 0, "line 2: bad weight 'q'"),
+    ("2 1 w\n0 1 inf\n", 0, "line 2: bad weight 'inf'"),
+    ("2 1 w\n0 1 nan\n", 0, "line 2: weight 'nan' not integral at scale 10^0"),
+    ("3 2 w\n0 1 4\n1 2 2.5\n", 0, "line 3: weight '2.5' not integral at scale 10^0"),
+    ("3 2 w\n0 1 4\n1 2 2.55\n", 1, "line 3: weight '2.55' not integral at scale 10^1"),
+    ("3 2 w\n0 1 4\n1 2 2.555\n", 2,
+     "line 3: weight '2.555' not integral at scale 10^2"),
+    ("3 2 w\n0 1 4\n1 2 9007199254740\n", 3,
+     "weight 9007199254740000 can make a path over 3 vertices longer than 2^53"),
+    ("3 2 w\n0 1 4\n1 2 92233720368547758\n", 2,
+     "weight 9223372036854775800 can make a path over 3 vertices longer than 2^53"),
+    ("2 1 w\n0 1 922337203685477580\n", 1,
+     "weight 9223372036854775800 can make a path over 2 vertices longer than 2^53"),
+    ("3 2 w\n0 1 9223372036854775808\n1 2 1\n", 0,
+     "weight 9223372036854775808 can make a path over 3 vertices longer than 2^53"),
+    ("3 2 w\n0 1 18446744073709551616\n1 2 1\n", 0,
+     "weight 18446744073709551616 can make a path over 3 vertices longer than 2^53"),
+    ("2 1 w\n0 1 9223372036854775807\n", 0,
+     "weight 9223372036854775807 can make a path over 2 vertices longer than 2^53"),
+    ("2 1 w\n0 1 9007199254740993\n", 0,
+     "weight 9007199254740993 can make a path over 2 vertices longer than 2^53"),
+    ("3 3\n0 1\n1 2\n", 0, "header declares 3 edges but file has 2"),
+    ("3 1\n0 1\n1 2\n", 0, "header declares 1 edges but file has 2"),
+    ("3 1\n", 0, "header declares 1 edges but file has 0"),
+    ("-1 0\n", 0, "vertex count must be nonnegative, got -1"),
+]
+
+
+@pytest.mark.parametrize("text,scale,message", BROKEN)
+def test_broken_files_keep_their_messages(capsys, tmp_path, text, scale, message):
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph(text, weight_scale=scale)
+    assert str(exc.value) == message
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    code = main(["estimate", "--input", str(path), "--method", "two-approx",
+                 "--weight-scale", str(scale)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"{path}: {message}\n"
+
+
+@pytest.mark.parametrize("text,scale,n,edges", [
+    ("3 2\n0 1\n# hello\n1 2\n", 0, 3, [(0, 1), (1, 2)]),
+    ("3 2\n0 1\n1 2\n# end\n", 0, 3, [(0, 1), (1, 2)]),
+    ("3 2\n0 +1\n01 2\n", 0, 3, [(0, 1), (1, 2)]),
+    ("3 2\n0 \u0661\n1 2\n", 0, 3, [(0, 1), (1, 2)]),
+    ("11 1\n0 1_0\n", 0, 11, [(0, 10)]),
+    ("3 2 w\n0 1 1_000\n1 2 1e3\n", 0, 3, [(0, 1, 1000), (1, 2, 1000)]),
+    ("3 2 w\n0 1 2.5\n1 2 -0\n", 1, 3, [(0, 1, 25), (1, 2, 0)]),
+    ("3 2 w\n0 1 7\n1 2 3.25\n", 2, 3, [(0, 1, 700), (1, 2, 325)]),
+    ("3 2 w\n0 1 4503599627\n1 2 3\n", 3, 3, [(0, 1, 4503599627000), (1, 2, 3000)]),
+    ("3 2 w\n0 1 20\n1 2 100\n", -1, 3, [(0, 1, 2), (1, 2, 10)]),
+])
+def test_files_off_the_array_path_parse_as_before(text, scale, n, edges):
+    assert parse_edge_list(text, weight_scale=scale) == build_graph(n, edges)
+
+
+# ---- full weighted searches -------------------------------------------------
+
+@PROPERTY
+@given(edge_lists(max_n=12), st.sampled_from([OUT, IN]))
+def test_full_weighted_search_matches_heap_dijkstra(case, direction):
+    n, edges, directed = case
+    g = build_graph(n, [e if len(e) == 3 else (*e, 1) for e in edges],
+                    directed=directed)
+    if not g.weighted:
+        return
+    indptr, indices, weights = _forward_view(g, direction)
+    for v in range(n):
+        tree = search(g, v, direction)
+        src = np.array([v], dtype=np.int64)
+        dist, order = _dijkstra(indptr, indices, weights, n, src, n)
+        assert np.array_equal(tree.dist, dist)
+        assert np.array_equal(tree.order, order)
+        # every truncation is a prefix of the full (distance, id) order
+        for s in range(1, order.size + 1):
+            part, cut = _dijkstra(indptr, indices, weights, n, src, s)
+            assert np.array_equal(cut, order[:s])
+            assert np.array_equal(part[cut], dist[cut])
+            assert np.count_nonzero(part != np.iinfo(np.int64).max) == s

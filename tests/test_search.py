@@ -92,6 +92,16 @@ def test_nearest_s_validates_s():
         nearest_s(g, 0, 5, OUT)
 
 
+def test_near_set_calls_validate_vertex_and_direction():
+    g = path_graph(4)
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match=f"source {v} out of range for n=4"):
+            nearest_s(g, v, 2, OUT)
+    for direction in ("sideways", "OUT", None):
+        with pytest.raises(ValueError, match="direction must be 'out' or 'in'"):
+            nearest_in_set(g, [0], direction)
+
+
 def test_nearest_s_matches_full_sort():
     rng = np.random.default_rng(17)
     for i in range(500):
@@ -256,6 +266,23 @@ def test_zero_weight_edges():
     near = nearest_s(g, 0, 3, OUT)
     assert near.members.tolist() == [0, 1, 2] and near.radius == 0
     assert nearest_in_set(g, [2, 3], OUT).tolist() == [0, 0, 0, 0]
+
+
+def test_zero_weight_edges_settle_by_id():
+    # a zero-weight path reaches id 1 only through id 3; the order must
+    # still list the distance-0 class by id, full or truncated
+    g = build_graph(4, [(0, 3, 0), (3, 1, 0), (1, 2, 5)], directed=True)
+    t = search(g, 0, OUT)
+    assert t.dist.tolist() == [0, 0, 5, 0]
+    assert t.order.tolist() == [0, 1, 3, 2]
+    for s, members in ((1, [0]), (2, [0, 1]), (3, [0, 1, 3]), (4, [0, 1, 3, 2])):
+        near = nearest_s(g, 0, s, OUT)
+        assert near.members.tolist() == members
+    indptr, indices, weights = g.indptr, g.indices, g.weights
+    src = np.array([0], dtype=np.int64)
+    dist, order = search_module._dijkstra(indptr, indices, weights, 4, src, 2)
+    assert order.tolist() == [0, 1]
+    assert dist.tolist() == [0, 0, UNREACHED, UNREACHED]
 
 
 def test_search_trees_are_concurrency_safe_values():
