@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import math
 import os
@@ -47,13 +48,22 @@ def _read_graph(path: str, directed: bool, weight_scale: int) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(1) from None
     try:
         return parse_graph(text, directed=directed, weight_scale=weight_scale)
     except GraphParseError as exc:
         print(f"{path}: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
+
+
+def _write_file(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
         raise SystemExit(1) from None
 
 
@@ -111,7 +121,7 @@ def _cmd_estimate(args) -> int:
     except InfiniteDiameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GraphError, RestartLimitError, ValueError) as exc:
+    except (GraphError, RestartLimitError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _print_estimate(est)
@@ -169,8 +179,11 @@ def load_corpus(path: str) -> list[tuple[str, Graph]]:
     ``family=gnm,n=100,m=300,seed=7[,directed=1][,weights=1:10]``.
     An ``id=`` field overrides the positional instance name.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphParseError(f"cannot read {path}: {exc}") from None
     out = []
     idx = 0
     for lineno, raw in enumerate(lines, start=1):
@@ -227,7 +240,8 @@ def _bench_instance(name, g, methods, reps, args):
                                  htilde=args.htilde, epsilon=args.epsilon,
                                  sample_const=args.sample_const, seed=seed)
                 millis = (time.perf_counter_ns() - t0) / 1e6
-            except (GraphError, RestartLimitError, ValueError) as exc:
+            except (GraphError, RestartLimitError, ValueError,
+                    OverflowError) as exc:
                 print(f"{name}/{method}: {exc}", file=sys.stderr)
                 rows.append([name, g.n, g.m, method, "", "", "", "", "", "",
                              "", "", ""])
@@ -304,11 +318,9 @@ def _cmd_reduce(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     meta = write_metadata(inst)
-    with open(args.out + ".meta", "w", encoding="utf-8") as fh:
-        fh.write(meta)
+    _write_file(args.out + ".meta", meta)
     if inst.gprime is not None:
-        with open(args.out + ".edges", "w", encoding="utf-8") as fh:
-            fh.write(write_edge_list(inst.gprime))
+        _write_file(args.out + ".edges", write_edge_list(inst.gprime))
     sys.stdout.write(meta)
     return 0
 
@@ -329,14 +341,16 @@ def _cmd_gen(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     return 0
 
 
 # ---- parser -----------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing never changes
+    it, so concurrent main calls may share it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="base seed for randomized estimators")

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphError, InfiniteDiameterError, finite_diameter_check
+from .graph import (Graph, GraphError, InfiniteDiameterError, UNREACHED,
+                    finite_diameter_check)
 from .oracle import exact_diameter
-from .search import (IN, OUT, batch_depths, nearest_high_degree,
-                     nearest_in_set, nearest_s, search, _gather, _search_from)
+from .search import (IN, OUT, batch_depths, near_sets, nearest_high_degree,
+                     nearest_in_set, nearest_s, search, _gather)
 
 DEFAULT_SAMPLE_CONST = 2.0
 DEFAULT_RERUN_CAP = 64
@@ -128,16 +129,13 @@ class _Deepest:
 
 def _near_sets_all(g: Graph, s: int):
     """members[v], dists[v] = the s closest out-vertices of every v."""
-    members = np.empty((g.n, s), dtype=np.int64)
-    mdists = np.empty((g.n, s), dtype=np.int64)
-    for v in range(g.n):
-        dist, order = _search_from(g, np.array([v], dtype=np.int64), OUT, s)
-        if order.size < s:
-            raise InfiniteDiameterError(
-                f"graph has infinite diameter: vertex {v} reaches only "
-                f"{order.size} vertices")
-        members[v] = order[:s]
-        mdists[v] = dist[members[v]]
+    members, mdists = near_sets(g, np.arange(g.n), s, OUT)
+    short = np.flatnonzero(mdists[:, -1] == UNREACHED)
+    if short.size:
+        v = short[0]
+        raise InfiniteDiameterError(
+            f"graph has infinite diameter: vertex {v} reaches only "
+            f"{np.count_nonzero(members[v] >= 0)} vertices")
     return members, mdists
 
 

@@ -21,6 +21,7 @@ a racing first access is harmless.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
@@ -31,6 +32,9 @@ from scipy.sparse.csgraph import breadth_first_order
 # Reserved distance for unreachable vertices.  Never participates in
 # depth/maximum computations.
 UNREACHED = np.iinfo(np.int64).max
+
+# Edges formatted per block by write_edge_list.
+_WRITE_ROWS = 1 << 16
 
 
 class GraphError(ValueError):
@@ -68,7 +72,8 @@ class Graph:
     wins).  Use :func:`build_graph` or the parsers to construct one.
     """
 
-    __slots__ = ("n", "directed", "indptr", "indices", "weights", "_rev", "_mat")
+    __slots__ = ("n", "directed", "indptr", "indices", "weights", "_rev", "_mat",
+                 "__weakref__")
 
     def __init__(self, n, directed, indptr, indices, weights=None):
         self.n = int(n)
@@ -132,7 +137,10 @@ class Graph:
         """
         if not self.directed:
             return self
-        if self._rev is None:
+        rev = self._rev
+        if isinstance(rev, weakref.ref):
+            rev = rev()
+        if rev is None:
             order = np.argsort(self.indices, kind="stable")
             rev_src = self.indices[order]
             # target of the reversed arc = source vertex of the original arc
@@ -144,9 +152,11 @@ class Graph:
             # rows come out sorted because argsort is stable and arc_src is
             # nondecreasing within each original row group
             rev = Graph(self.n, True, rev_indptr, rev_dst.copy(), rev_w)
-            rev._rev = self
+            # a weak way back: a reference cycle would keep both graphs'
+            # arrays alive until the cyclic garbage collector ran
+            rev._rev = weakref.ref(self)
             self._rev = rev
-        return self._rev
+        return rev
 
     def scipy_matrix(self) -> csr_matrix:
         """Adjacency as a scipy CSR (float64 weights, 1.0 when unweighted)."""
@@ -386,13 +396,14 @@ def write_edge_list(g: Graph) -> str:
         rows, cols = rows[keep], cols[keep]
         if wts is not None:
             wts = wts[keep]
-    header = f"{g.n} {rows.size} w" if g.weighted else f"{g.n} {rows.size}"
-    lines = [header]
-    if g.weighted:
-        lines.extend(f"{u} {v} {w}" for u, v, w in zip(rows, cols, wts))
-    else:
-        lines.extend(f"{u} {v}" for u, v in zip(rows, cols))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack((rows, cols) if wts is None else (rows, cols, wts))
+    parts = [f"{g.n} {rows.size} w\n" if g.weighted else f"{g.n} {rows.size}\n"]
+    line = " ".join(["%d"] * table.shape[1]) + "\n"
+    # one %-format per block of rows; blocks bound the memory at any m
+    for lo in range(0, len(table), _WRITE_ROWS):
+        block = table[lo:lo + _WRITE_ROWS]
+        parts.append((line * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def parse_dimacs(text: str) -> Graph:

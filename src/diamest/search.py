@@ -1,19 +1,23 @@
 """Search primitives consumed by every estimator.
 
-Three kernels run every single search.  Unweighted graphs use a level
-BFS.  On weighted graphs a full search runs scipy's Dijkstra, which is
-exact because build_graph keeps every path length within 2^53, and a
-truncated one runs a binary-heap Dijkstra that stops after a given
-number of settles.  All start from a sorted set of sources and give the
-reached vertices in (distance, id) order.  One source gives full and
-truncated search trees and the s closest vertices of a vertex; a whole
-vertex set as the sources gives every vertex's distance to that set.
+One kernel per job:
+
+- A full search (``search``, ``nearest_in_set``) runs a level BFS from a
+  sorted set of sources on unweighted graphs and scipy's Dijkstra on
+  weighted ones, exact because build_graph keeps every path length within
+  2^53.  Both give the reached vertices in (distance, id) order.
+- Near sets, the s closest vertices of each of many sources
+  (``near_sets``, ``nearest_s``), run one batched truncated BFS on
+  unweighted graphs: every source keeps its own tree, and the trees of a
+  chunk of sources advance level by level together.  On weighted graphs a
+  binary-heap Dijkstra per source stops after s settles.
+- Depths and reach counts of many sources (``batch_search_stats``) run
+  one bit-parallel multi-source BFS that advances 64 sources per machine
+  word on unweighted graphs, and scipy's Dijkstra over chunks of sources
+  on weighted ones.
 
 Searches never mutate the graph; each owns its private arrays, so any
-number may run concurrently over one shared Graph.  Bulk depth queries
-run many searches together: on unweighted graphs as one bit-parallel
-multi-source BFS that advances 64 sources per machine word, on weighted
-ones as scipy's Dijkstra over chunks of sources.
+number may run concurrently over one shared Graph.
 """
 from __future__ import annotations
 
@@ -96,35 +100,101 @@ def _gather(indptr, indices, frontier):
     return indices[base + within], counts
 
 
-def _bfs(indptr, indices, n, sources, limit=None):
+def _unique(a):
+    """Sorted distinct values of the nonnegative ``a``.  np.unique hashes
+    before it sorts (numpy >= 2.3), which is 10-20x slower on arrays of a
+    few thousand entries."""
+    a = np.sort(a)
+    return a[np.diff(a, prepend=-1) != 0]
+
+
+def _bfs(indptr, indices, n, sources):
     """Level BFS from the sorted, distinct ``sources``.
 
-    Settles vertices in (distance, id) order.  With ``limit`` the search
-    stops after that many settles, trimming the last level by ascending id
-    so truncation agrees with the tie-break.  Returns (dist, order).
+    Settles vertices in (distance, id) order.  Returns (dist, order).
     """
     dist = np.full(n, UNREACHED, dtype=np.int64)
     dist[sources] = 0
     frontier = sources
     parts = [frontier]
-    settled = frontier.size
     level = 0
-    while frontier.size and (limit is None or settled < limit):
+    while frontier.size:
         nbrs, _ = _gather(indptr, indices, frontier)
-        if nbrs.size == 0:
-            break
-        nbrs = nbrs[dist[nbrs] == UNREACHED]
-        new = np.unique(nbrs)
-        if new.size == 0:
-            break
+        frontier = _unique(nbrs[dist[nbrs] == UNREACHED])
         level += 1
-        if limit is not None and settled + new.size > limit:
-            new = new[: limit - settled]
-        dist[new] = level
-        parts.append(new)
-        settled += new.size
-        frontier = new
+        dist[frontier] = level
+        parts.append(frontier)
     return dist, np.concatenate(parts)
+
+
+# Size caps of one batch of truncated searches: a chunk of k sources keeps
+# a seen bitmap of k * n bools, k = _SEEN_BUDGET // n, and a level gathers
+# the out-arcs of its frontier in runs of whole rows of about _ARC_BUDGET
+# arcs, so a hub that every row reaches costs at most one run at a time.
+_SEEN_BUDGET = 1 << 22
+_ARC_BUDGET = 1 << 16
+
+
+def _row_runs(rows, fan):
+    """Bounds of runs of whole rows of the row-sorted frontier, each run
+    gathering about _ARC_BUDGET arcs (one row may gather more alone)."""
+    ends = np.cumsum(fan)
+    if ends[-1] <= _ARC_BUDGET:
+        return [0, rows.size]
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    run = (ends - fan)[first] // _ARC_BUDGET
+    return [*first[np.diff(run, prepend=-1) != 0].tolist(), rows.size]
+
+
+def _near_bfs(indptr, indices, n, sources, s, members, dists):
+    """Fill row i of ``members``/``dists`` with the s-truncated BFS tree of
+    ``sources[i]``; the rows of a chunk advance level by level together.
+
+    The frontier is a list of (row, vertex) pairs sorted by row.  A level
+    gathers their out-arcs, drops pairs already seen and sorts the rest by
+    the key row * n + vertex, so each row's new level comes out by
+    ascending id and is trimmed to the row's free slots, as a single-source
+    search settling in (distance, id) order would.
+    """
+    if s == 1:
+        return
+    fan = np.diff(indptr)
+    k = max(1, _SEEN_BUDGET // n)
+    for lo in range(0, sources.size, k):
+        front = sources[lo:lo + k]
+        rows = np.arange(front.size, dtype=np.int64)
+        out = members[lo:lo + front.size].reshape(-1)
+        out_d = dists[lo:lo + front.size].reshape(-1)
+        seen = np.zeros(front.size * n, dtype=bool)
+        seen[rows * n + front] = True
+        count = np.ones(front.size, dtype=np.int64)
+        level = 0
+        while front.size:
+            level += 1
+            runs = _row_runs(rows, fan[front])
+            parts = []
+            for a, b in zip(runs, runs[1:]):
+                nbrs, got = _gather(indptr, indices, front[a:b])
+                key = np.repeat(rows[a:b], got) * n + nbrs
+                key = _unique(key[~seen[key]])
+                row = key // n
+                # slot of each new pair: its rank in its row plus the
+                # row's members so far
+                per = np.bincount(row, minlength=count.size)
+                slot = (np.arange(key.size) - (np.cumsum(per) - per)[row]
+                        + count[row])
+                if key.size and slot.max() >= s:
+                    keep = slot < s
+                    key, row, slot = key[keep], row[keep], slot[keep]
+                seen[key] = True
+                new = key - row * n
+                out[row * s + slot] = new
+                out_d[row * s + slot] = level
+                count += per
+                live = count[row] < s
+                parts.append((row[live], new[live]))
+            rows = np.concatenate([r for r, _ in parts])
+            front = np.concatenate([v for _, v in parts])
 
 
 def _dijkstra(indptr, indices, weights, n, sources, limit):
@@ -178,16 +248,46 @@ def _scipy_search(g: Graph, sources: np.ndarray, direction: str):
     return dist, reached[np.argsort(dist[reached], kind="stable")]
 
 
-def _search_from(g: Graph, sources: np.ndarray, direction: str, limit=None):
-    """(dist, order) of one search from the sorted, distinct ``sources``:
-    BFS on unweighted graphs; on weighted ones scipy's Dijkstra when the
-    search is full and the heap Dijkstra when ``limit`` truncates it."""
+def _search_from(g: Graph, sources: np.ndarray, direction: str):
+    """(dist, order) of one full search from the sorted, distinct
+    ``sources``: BFS on unweighted graphs, scipy's Dijkstra on weighted
+    ones."""
     indptr, indices, weights = _forward_view(g, direction)
     if weights is None:
-        return _bfs(indptr, indices, g.n, sources, limit)
-    if limit is None:
-        return _scipy_search(g, sources, direction)
-    return _dijkstra(indptr, indices, weights, g.n, sources, limit)
+        return _bfs(indptr, indices, g.n, sources)
+    return _scipy_search(g, sources, direction)
+
+
+def near_sets(g: Graph, sources, s: int, direction: str = OUT):
+    """The s closest vertices of every source, by truncated searches.
+
+    Returns (members, dists), int64 arrays of shape (len(sources), s):
+    row i lists the first s vertices of the (distance, id) order of a
+    search from ``sources[i]`` and their distances.  A row whose source
+    reaches fewer than s vertices ends in members -1 at distance
+    UNREACHED.  Unweighted graphs run one batched BFS, weighted ones the
+    heap Dijkstra per source.
+    """
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    bad = sources[(sources < 0) | (sources >= g.n)]
+    if bad.size:
+        raise ValueError(f"source {bad[0]} out of range for n={g.n}")
+    if not (1 <= s <= g.n):
+        raise ValueError(f"s must be in [1, {g.n}], got {s}")
+    indptr, indices, weights = _forward_view(g, direction)
+    members = np.full((sources.size, s), -1, dtype=np.int64)
+    dists = np.full((sources.size, s), UNREACHED, dtype=np.int64)
+    members[:, 0] = sources
+    dists[:, 0] = 0
+    if weights is None:
+        _near_bfs(indptr, indices, g.n, sources, s, members, dists)
+    else:
+        for i in range(sources.size):
+            dist, order = _dijkstra(indptr, indices, weights, g.n,
+                                    sources[i:i + 1], s)
+            members[i, :order.size] = order
+            dists[i, :order.size] = dist[order]
+    return members, dists
 
 
 def search(g: Graph, v: int, direction: str = OUT) -> SearchTree:
@@ -208,15 +308,11 @@ def nearest_s(g: Graph, v: int, s: int, direction: str = OUT) -> NearSet:
     """
     if not (0 <= v < g.n):
         raise ValueError(f"source {v} out of range for n={g.n}")
-    if not (1 <= s <= g.n):
-        raise ValueError(f"s must be in [1, {g.n}], got {s}")
-    dist, order = _search_from(g, np.array([v], dtype=np.int64), direction, s)
-    if order.size < s:
+    (members,), (mdists,) = near_sets(g, [v], s, direction)
+    if mdists[-1] == UNREACHED:
         raise InfiniteDiameterError(
-            f"graph has infinite diameter: only {order.size} of {s} vertices "
-            f"reachable {direction} of {v}")
-    members = order[:s].copy()
-    mdists = dist[members]
+            f"graph has infinite diameter: only {np.count_nonzero(members >= 0)}"
+            f" of {s} vertices reachable {direction} of {v}")
     members.setflags(write=False)
     mdists.setflags(write=False)
     return NearSet(v, direction, s, members, mdists)
@@ -259,6 +355,9 @@ def nearest_high_degree(g: Graph, degree: int) -> np.ndarray:
 # a chunk of 64*W sources keeps W words per vertex and per arc, so W is
 # chosen to keep max(n, arcs) * W under the cap, at any n.
 _WORD_BUDGET = 1 << 17
+
+# Size cap, in float64 entries, of one block of scipy Dijkstra distances.
+_DIJKSTRA_BUDGET = 8_000_000
 
 # A level pushes from its frontier when that is cheaper than pulling into
 # every vertex: a pushed arc word costs about _PUSH_COST pulled ones, and a
@@ -402,7 +501,7 @@ def batch_search_stats(g: Graph, sources, direction: str = OUT):
     mat = base.scipy_matrix()
     depths = np.empty(sources.size, dtype=np.int64)
     reached = np.empty(sources.size, dtype=np.int64)
-    chunk = max(1, int(8_000_000 // max(g.n, 1)))
+    chunk = max(1, _DIJKSTRA_BUDGET // max(g.n, 1))
     for lo in range(0, sources.size, chunk):
         part = sources[lo:lo + chunk]
         d = _scipy_dijkstra(mat, directed=True, indices=part)

@@ -108,6 +108,70 @@ def test_weights_past_2_to_53_exit_1(capsys, tmp_path):
             assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bench", "--corpus", "{d}/missing.txt", "--methods", "exact"],
+     "cannot read {d}/missing.txt"),
+    (["bench", "--corpus", "{latin1}", "--methods", "exact"], "utf-8"),
+    (["gen", "--family", "path", "--n", "5", "--out", "{d}/nodir/x.edges"],
+     "cannot write {d}/nodir/x.edges"),
+    (["reduce", "--input", "{p10}", "--k", "1", "--out", "{d}/nodir/x"],
+     "cannot write {d}/nodir/x.meta"),
+    (["estimate", "--input", "{latin1}", "--method", "exact"],
+     "cannot read {latin1}"),
+    (["exact", "--input", "{latin1}"], "cannot read {latin1}"),
+    (["estimate", "--input", "{p10}", "--method", "sparse", "--delta", "1e400",
+      "--htilde", "2"], "infinity"),
+    (["estimate", "--input", "{p10}", "--method", "rv", "--sample-const",
+      "1e400"], "infinity"),
+], ids=["bench-missing-corpus", "bench-corpus-not-utf8", "gen-out-no-dir",
+        "reduce-out-no-dir", "estimate-not-utf8", "exact-not-utf8",
+        "sparse-infinite-delta", "rv-infinite-sample-const"])
+def test_input_errors_exit_1_with_message(capsys, tmp_path, p10_file, argv,
+                                          message):
+    latin1 = tmp_path / "latin1.edges"
+    latin1.write_bytes("3 1\n0 1 \u00e9\n".encode("latin-1"))
+    fill = dict(d=tmp_path, p10=p10_file, latin1=latin1)
+    code, out, err = _run(capsys, [a.format(**fill) for a in argv])
+    assert code == 1 and out == ""
+    assert message.format(**fill) in err and "Traceback" not in err
+
+
+def test_parser_survives_usage_errors(capsys, p10_file):
+    # the parser is built once per process and shared by every main call
+    argv = ["estimate", "--input", p10_file, "--method", "two-approx"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and "value=9" in out
+    assert main(["estimate", "--input", p10_file, "--method", "bogus"]) == 1
+    assert main(["gen", "--n", "x"]) == 1
+    capsys.readouterr()
+    assert _run(capsys, argv)[:2] == (code, out)
+
+
+def test_concurrent_main_calls(tmp_path):
+    # threads share the one parser; usage errors interleave with good calls
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    def job(i):
+        if i % 3 == 0:
+            return main(["gen", "--family", "path", "--n", "x"])
+        return main(["gen", "--family", "path", "--n", str(5 + i % 7),
+                     "--out", str(tmp_path / f"{i}.edges")])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            codes = list(pool.map(job, range(60), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert codes == [1 if i % 3 == 0 else 0 for i in range(60)]
+    for i in range(60):
+        if i % 3:
+            text = (tmp_path / f"{i}.edges").read_text()
+            assert parse_graph(text) == path_graph(5 + i % 7)
+
+
 def test_sparse_override_requires_both(capsys, p10_file):
     code, _, err = _run(capsys, ["estimate", "--input", p10_file,
                                  "--method", "sparse", "--htilde", "4"])

@@ -1,4 +1,7 @@
 """graph module: construction, reversal, connectivity screening, I/O."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,28 @@ def test_reverse_involution_random():
         back = g.reverse().reverse()
         assert back == g
         assert g.reverse().m == g.m
+
+
+def test_reverse_leaves_no_reference_cycle():
+    # a directed graph and its reverse are freed with their last reference,
+    # not when the cyclic collector next runs; many calls in one process
+    # would otherwise pile up their graphs
+    edges = [(0, 1), (1, 2)]
+    gc.disable()
+    try:
+        g = build_graph(3, edges, directed=True)
+        r = g.reverse()
+        assert r.reverse() is g
+        probes = weakref.ref(g), weakref.ref(r)
+        del g, r
+        assert probes[0]() is None and probes[1]() is None
+    finally:
+        gc.enable()
+    # the reverse outlives its graph: reversing it again rebuilds the graph
+    r = build_graph(3, edges, directed=True).reverse()
+    back = r.reverse()
+    assert back == build_graph(3, edges, directed=True)
+    assert back.reverse() is r
 
 
 def test_reverse_preserves_weights():

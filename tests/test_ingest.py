@@ -2,6 +2,8 @@
 full weighted search, each checked against a second way to the same
 answer.  The property tests draw small graphs with hypothesis, including
 weight 0 and weights at the 2^53 path-length bound."""
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +125,32 @@ def test_parse_round_trip(case):
     again = parse_graph(text, directed=directed)
     assert again == g
     assert write_edge_list(again) == text
+
+
+def _reference_text(g):
+    """Edge-list text written one f-string per edge."""
+    lines = [f"{g.n} {g.m} w" if g.weighted else f"{g.n} {g.m}"]
+    for u in range(g.n):
+        row = slice(g.indptr[u], g.indptr[u + 1])
+        for i, v in enumerate(g.indices[row]):
+            if g.directed or u < v:
+                lines.append(f"{u} {v}" if g.weights is None
+                             else f"{u} {v} {g.weights[row][i]}")
+    return "\n".join(lines) + "\n"
+
+
+@PROPERTY
+@given(edge_lists(), st.sampled_from([1, 3, 1 << 16]))
+def test_write_edge_list_matches_per_edge_text(case, block):
+    n, edges, directed = case
+    g = build_graph(n, edges, directed=directed)
+    graph_module = importlib.import_module("diamest.graph")
+    default = graph_module._WRITE_ROWS
+    graph_module._WRITE_ROWS = block
+    try:
+        assert write_edge_list(g) == _reference_text(g)
+    finally:
+        graph_module._WRITE_ROWS = default
 
 
 @PROPERTY

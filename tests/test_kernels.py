@@ -1,0 +1,196 @@
+"""Search kernels against Floyd-Warshall: the batched truncated BFS behind
+every near set, the multi-source level BFS, the bit-parallel depth batch
+and the chunked Dijkstra batch.  Small graphs come from hypothesis; each
+kernel also runs with its module size caps shrunk, so chunk and run
+boundaries fall inside the graph."""
+import contextlib
+import importlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diamest import IN, OUT, InfiniteDiameterError, build_graph, nearest_s
+from diamest.estimators import _near_sets_all
+from diamest.graph import UNREACHED
+from diamest.search import near_sets
+from helpers import cycle_graph, fw_apsp, path_graph
+
+search_module = importlib.import_module("diamest.search")
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def graphs(draw, max_n=12, weighted=False):
+    """Graphs with loops, duplicate edges and isolated vertices; weights
+    include 0."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    edge = (st.tuples(vertex, vertex, st.integers(0, 9)) if weighted
+            else st.tuples(vertex, vertex))
+    return build_graph(n, draw(st.lists(edge, max_size=3 * n)),
+                       directed=draw(st.booleans()))
+
+
+@contextlib.contextmanager
+def caps(**values):
+    """Set module size caps of the search module for the block."""
+    old = {name: getattr(search_module, name) for name in values}
+    try:
+        for name, value in values.items():
+            setattr(search_module, name, value)
+        yield
+    finally:
+        for name, value in old.items():
+            setattr(search_module, name, value)
+
+
+def _rows(g, direction):
+    """Row v: distances from (OUT) or to (IN) v, float with inf."""
+    d = fw_apsp(g)
+    return d if direction == OUT else d.T
+
+
+def _order(row):
+    """Reached vertices of one distance row in (distance, id) order."""
+    reached = np.flatnonzero(np.isfinite(row))
+    return reached[np.lexsort((reached, row[reached]))]
+
+
+def _near_reference(g, sources, s, direction):
+    rows = _rows(g, direction)
+    members = np.full((len(sources), s), -1, dtype=np.int64)
+    dists = np.full((len(sources), s), UNREACHED, dtype=np.int64)
+    for i, v in enumerate(sources):
+        first = _order(rows[v])[:s]
+        members[i, :first.size] = first
+        dists[i, :first.size] = rows[v][first]
+    return members, dists
+
+
+def _check_near_sets(g, s, sources):
+    """near_sets against the reference for every chunk size that matters:
+    the default, one source per chunk, n - 1 per chunk, and one row per
+    run of gathered arcs."""
+    n = g.n
+    chunkings = [{}, dict(_SEEN_BUDGET=n), dict(_SEEN_BUDGET=n * max(1, n - 1)),
+                 dict(_SEEN_BUDGET=2 * n, _ARC_BUDGET=1)]
+    for direction in (OUT, IN):
+        want = _near_reference(g, sources, s, direction)
+        for values in chunkings:
+            with caps(**values):
+                got = near_sets(g, sources, s, direction)
+            assert np.array_equal(got[0], want[0]), (direction, values)
+            assert np.array_equal(got[1], want[1]), (direction, values)
+
+
+def _check_errors(g, s):
+    """The near-set callers name the smallest short vertex exactly."""
+    rows = _rows(g, OUT)
+    reach = np.isfinite(rows).sum(axis=1)
+    short = np.flatnonzero(reach < s)
+    if short.size == 0:
+        assert np.array_equal(_near_sets_all(g, s)[0],
+                              _near_reference(g, range(g.n), s, OUT)[0])
+        return
+    v = int(short[0])
+    with pytest.raises(InfiniteDiameterError) as exc:
+        _near_sets_all(g, s)
+    assert str(exc.value) == (f"graph has infinite diameter: vertex {v} "
+                              f"reaches only {reach[v]} vertices")
+    with pytest.raises(InfiniteDiameterError) as exc:
+        nearest_s(g, v, s, OUT)
+    assert str(exc.value) == (f"graph has infinite diameter: only {reach[v]} "
+                              f"of {s} vertices reachable out of {v}")
+
+
+@PROPERTY
+@given(st.one_of(graphs(), graphs(weighted=True)), st.data())
+def test_near_sets_match_floyd_warshall(g, data):
+    s = data.draw(st.sampled_from(sorted({1, min(2, g.n), g.n}))
+                  | st.integers(1, g.n))
+    # unsorted sources with repeats: every row is its own search
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+    _check_near_sets(g, s, np.asarray(sources, dtype=np.int64))
+    _check_errors(g, s)
+
+
+@pytest.mark.parametrize("g", [path_graph(40), cycle_graph(41),
+                               cycle_graph(41, directed=True),
+                               build_graph(40, [(i, i + 1) for i in range(39)],
+                                           directed=True),
+                               build_graph(9, [(0, 1), (1, 2), (3, 4), (5, 6)])],
+                         ids=["path", "cycle", "directed-cycle",
+                              "directed-path", "disconnected"])
+def test_kernels_on_deep_and_disconnected_graphs(g):
+    for s in sorted({1, 2, 5, g.n // 2, g.n}):
+        _check_near_sets(g, s, np.arange(g.n))
+        _check_errors(g, s)
+    for sources in ([0], [g.n // 2], [1, g.n - 1], np.arange(0, g.n, 7)):
+        _check_bfs(g, np.asarray(sources))
+    _check_batch_stats(g, np.arange(g.n))
+
+
+def test_near_sets_validate_their_arguments():
+    g = path_graph(4)
+    for bad in ([-1], [0, 4]):
+        with pytest.raises(ValueError, match=f"source {bad[-1]} out of range for n=4"):
+            near_sets(g, bad, 2)
+    for s in (0, 5):
+        with pytest.raises(ValueError, match=rf"s must be in \[1, 4\], got {s}"):
+            near_sets(g, [0], s)
+    with pytest.raises(ValueError, match="direction must be 'out' or 'in'"):
+        near_sets(g, [0], 2, "sideways")
+    members, dists = near_sets(g, [], 3)
+    assert members.shape == dists.shape == (0, 3)
+
+
+def _check_bfs(g, sources):
+    for direction in (OUT, IN):
+        indptr, indices, _ = search_module._forward_view(g, direction)
+        dist, order = search_module._bfs(indptr, indices, g.n, sources)
+        ref = _rows(g, direction)[sources].min(axis=0)
+        assert np.array_equal(order, _order(ref))
+        want = np.full(g.n, UNREACHED, dtype=np.int64)
+        want[order] = ref[order]
+        assert np.array_equal(dist, want)
+
+
+@PROPERTY
+@given(graphs(), st.data())
+def test_multi_source_bfs_matches_floyd_warshall(g, data):
+    _check_bfs(g, np.unique(data.draw(st.lists(st.integers(0, g.n - 1),
+                                               min_size=1))))
+
+
+def _check_batch_stats(g, sources):
+    for direction in (OUT, IN):
+        depths, reached = search_module.batch_search_stats(g, sources, direction)
+        rows = _rows(g, direction)[sources]
+        finite = np.isfinite(rows)
+        assert np.array_equal(reached, finite.sum(axis=1))
+        assert np.array_equal(depths, np.where(finite, rows, -1).max(axis=1))
+
+
+@PROPERTY
+@given(graphs(max_n=20), st.data())
+def test_bit_parallel_depths_match_floyd_warshall(g, data):
+    sources = np.asarray(data.draw(st.lists(st.integers(0, g.n - 1), min_size=1,
+                                            max_size=3 * g.n)), dtype=np.int64)
+    # one 64-source chunk pushing every level, and pulling every level
+    for values in ({}, dict(_WORD_BUDGET=1, _PUSH_COST=0, _PUSH_START=0),
+                   dict(_WORD_BUDGET=1, _PUSH_COST=1 << 62, _PUSH_START=0)):
+        with caps(**values):
+            _check_batch_stats(g, sources)
+
+
+@PROPERTY
+@given(graphs(weighted=True), st.data())
+def test_chunked_dijkstra_depths_match_floyd_warshall(g, data):
+    sources = np.asarray(data.draw(st.lists(st.integers(0, g.n - 1), min_size=1,
+                                            max_size=3 * g.n)), dtype=np.int64)
+    # one source per chunk, two per chunk, all in one
+    for budget in (1, 2 * g.n, search_module._DIJKSTRA_BUDGET):
+        with caps(_DIJKSTRA_BUDGET=budget):
+            _check_batch_stats(g, sources)
