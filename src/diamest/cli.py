@@ -58,6 +58,16 @@ def _read_graph(path: str, directed: bool, weight_scale: int) -> Graph:
         raise SystemExit(1) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _write_file(path: str, text: str):
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -396,7 +406,8 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--corpus", required=True, help="corpus spec file")
     p_bench.add_argument("--methods", required=True,
                          help="comma-separated method list")
-    p_bench.add_argument("--reps", type=int, default=1)
+    p_bench.add_argument("--reps", type=_positive_int, default=1,
+                         help="runs per method and instance (>= 1)")
     p_bench.add_argument("--output", default="-", help="CSV path ('-' = stdout)")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -91,6 +91,13 @@ def _require_unweighted(g: Graph, what: str):
         raise GraphError(f"{what} requires an unweighted graph")
 
 
+def _require_sample_const(sample_const: float):
+    if sample_const > 0 and math.isinf(sample_const):
+        raise ValueError("sample_const must be finite, got infinity")
+    if not sample_const > 0:  # also NaN
+        raise ValueError(f"sample_const must be > 0, got {sample_const}")
+
+
 def _clamp_s(g: Graph, s, default: int) -> int:
     if s is None:
         s = default
@@ -144,21 +151,36 @@ def _greedy_hitting_set(members: np.ndarray, n: int) -> np.ndarray:
 
     Repeatedly picks the vertex contained in the most not-yet-hit sets
     (ties to the smallest id); size O((n/s) log n) by the usual covering
-    argument since every set has s members.
+    argument since every set has s members.  Each row of ``members`` is
+    a set: it lists s distinct vertices in [0, n).
+
+    This is the incremental greedy set cover (Chvatal 1979): ``counts``
+    holds, per vertex, the number of unhit rows that contain it, and an
+    index from each vertex to its rows lets a pick subtract only the
+    members of the rows it newly hits.  Setup is O(n s) plus one sort of
+    the n s members; each pick costs the members of its new rows plus
+    one O(n) argmax.
     """
     n_sets, s = members.shape
     flat = members.ravel()
-    rows = np.repeat(np.arange(n_sets), s)
+    counts = np.bincount(flat, minlength=n)
+    # rows_of[start[v]:start[v + 1]] are the rows that contain v
+    rows_of = np.argsort(flat) // s
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=start[1:])
     covered = np.zeros(n_sets, dtype=bool)
     picks = []
     while True:
-        alive = ~covered[rows]
-        if not alive.any():
+        pick = int(counts.argmax())
+        if counts[pick] <= 0:  # every row is hit
             break
-        counts = np.bincount(flat[alive], minlength=n)
-        pick = int(np.argmax(counts))
         picks.append(pick)
-        covered |= (members == pick).any(axis=1)
+        rows = rows_of[start[pick]:start[pick + 1]]
+        rows = rows[~covered[rows]]
+        covered[rows] = True
+        # against a length-n bincount per pick: 1.5-1.8x as fast at s = 2
+        # (n = 4096, 16384), within 5% at s = 64 and 128
+        np.subtract.at(counts, members[rows].ravel(), 1)
     return np.asarray(picks, dtype=np.int64)
 
 
@@ -219,6 +241,7 @@ def aingworth(g: Graph, s: int | None = None) -> Estimate:
 
 
 def _sampled_core(g, s, seed, sample_const, max_reruns, method):
+    _require_sample_const(sample_const)
     _require_finite(g)
     n = g.n
     s = _clamp_s(g, s, _iceil(math.sqrt(n)))
@@ -284,25 +307,33 @@ def dense_estimate(g: Graph, s: int | None = None) -> Estimate:
     _require_unweighted(g, "dense_estimate")
     _require_finite(g)
     s = _clamp_s(g, s, _iceil((g.m / g.n) ** (1.0 / 3.0)) if g.m else 1)
-    fwd_tr, rev_tr, radii_out, radii_in, reach_bits, in_bits = _pair_scan(g, s)
+    (fwd_tr, out_members, out_dists), (rev_tr, in_members, in_dists) = \
+        _pair_scan(g, s)
+    radii_out, radii_in = out_dists[:, -1], in_dists[:, -1]
     tracker = _Deepest()
     tracker.offer(fwd_tr.depth, fwd_tr.source, fwd_tr.direction)
     tracker.offer(rev_tr.depth, rev_tr.source, _FLIP[rev_tr.direction])
     value = tracker.depth
     witness = tracker.witness()
     max_in = int(radii_in.max())
-    for u in range(g.n):
-        if radii_out[u] + max_in <= value:
-            continue
-        allowed = ~np.bitwise_and(in_bits, reach_bits[u]).any(axis=1)
-        if not allowed.any():
-            continue
-        top = int(radii_in[allowed].max())
-        total = int(radii_out[u]) + top
-        if total > value:
-            v = int(np.flatnonzero(allowed & (radii_in == top))[0])
-            value = total
-            witness = Witness("pair", pair=(u, v))
+    # value only grows, so a u pruned now stays pruned; the bitsets are
+    # built for the survivors alone, and not at all when none survives
+    scan = np.flatnonzero(radii_out + max_in > value)
+    if scan.size:
+        in_bits = _tree_bitsets(in_members, in_dists, g.n)
+        reach_bits = _tree_bitsets(out_members[scan], out_dists[scan], g.n, g)
+        for u, reach in zip(scan.tolist(), reach_bits):
+            if radii_out[u] + max_in <= value:
+                continue
+            allowed = ~np.bitwise_and(in_bits, reach).any(axis=1)
+            if not allowed.any():
+                continue
+            top = int(radii_in[allowed].max())
+            total = int(radii_out[u]) + top
+            if total > value:
+                v = int(np.flatnonzero(allowed & (radii_in == top))[0])
+                value = total
+                witness = Witness("pair", pair=(u, v))
     return Estimate(value, "dense", witness, params=_params(s=s))
 
 
@@ -332,20 +363,11 @@ def _tree_bitsets(members, mdists, n, g: Graph | None = None):
 
 
 def _pair_scan(g: Graph, s: int):
-    """Both near-set sweeps of the pair scan and the bitsets it ANDs.
-
-    Returns the sweeps' trackers on ``g`` and on its reverse, the out- and
-    in-radii of every vertex, the closed reach of every truncated out-tree
-    and the bitset of every truncated in-tree.
-    """
-    fwd_tr, fwd_members, fwd_dists = _aingworth_sweep(g, s)
-    if g.directed:
-        rev_tr, rev_members, rev_dists = _aingworth_sweep(g.reverse(), s)
-    else:
-        rev_tr, rev_members, rev_dists = fwd_tr, fwd_members, fwd_dists
-    return (fwd_tr, rev_tr, fwd_dists[:, -1], rev_dists[:, -1],
-            _tree_bitsets(fwd_members, fwd_dists, g.n, g),
-            _tree_bitsets(rev_members, rev_dists, g.n))
+    """Both near-set sweeps of the pair scan: the (tracker, members,
+    member_dists) of the sweep on ``g``, whose rows are out-trees, and of
+    the sweep on its reverse, whose rows are in-trees."""
+    fwd = _aingworth_sweep(g, s)
+    return fwd, _aingworth_sweep(g.reverse(), s) if g.directed else fwd
 
 
 def dense_condition_pairs(g: Graph, s: int):
@@ -357,7 +379,10 @@ def dense_condition_pairs(g: Graph, s: int):
     _require_unweighted(g, "dense_condition_pairs")
     _require_finite(g)
     s = _clamp_s(g, s, 1)
-    _, _, radii_out, radii_in, reach_bits, in_bits = _pair_scan(g, s)
+    (_, out_members, out_dists), (_, in_members, in_dists) = _pair_scan(g, s)
+    radii_out, radii_in = out_dists[:, -1], in_dists[:, -1]
+    reach_bits = _tree_bitsets(out_members, out_dists, g.n, g)
+    in_bits = _tree_bitsets(in_members, in_dists, g.n)
     hits = []
     for u in range(g.n):
         allowed = ~np.bitwise_and(in_bits, reach_bits[u]).any(axis=1)
@@ -474,6 +499,7 @@ def sampling_estimate(g: Graph, epsilon: float = 0.5, delta: float = 0.25,
     """
     if not (0 < epsilon < 1) or not (0 < delta < 1):
         raise ValueError("epsilon and delta must lie strictly between 0 and 1")
+    _require_sample_const(sample_const)
     _require_finite(g)
     n = g.n
     size = min(n, max(1, math.ceil(sample_const * n ** (1 - epsilon)

@@ -21,6 +21,7 @@ a racing first access is harmless.
 """
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -35,6 +36,8 @@ UNREACHED = np.iinfo(np.int64).max
 
 # Edges formatted per block by write_edge_list.
 _WRITE_ROWS = 1 << 16
+# the record tag that starts a DIMACS arc line "a u v w"
+_ARC_TAG = re.compile(r"^[ \t]*a(?=[ \t])", re.M)
 
 
 class GraphError(ValueError):
@@ -406,12 +409,34 @@ def write_edge_list(g: Graph) -> str:
     return "".join(parts)
 
 
+def _arc_rows(body, n: int):
+    """DIMACS arc lines as one (m, 3) int64 array of 0-indexed arcs, or
+    None when some line needs the line-by-line reader: one that is not an
+    ``a`` record, an endpoint out of [1, n] or any line _edge_rows
+    refuses."""
+    text, tags = _ARC_TAG.subn("", "\n".join(body))
+    if tags != len(body):
+        return None
+    rows = _edge_rows(text.split("\n"), n + 1, 3, 0)
+    if rows is None or (len(rows) and rows[:, :2].min() < 1):
+        return None
+    rows[:, :2] -= 1
+    return rows
+
+
 def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS shortest-path file: ``p sp n m`` header and
-    ``a u v w`` arcs, 1-indexed.  Produces a directed weighted graph."""
+    ``a u v w`` arcs, 1-indexed.  Produces a directed weighted graph.
+
+    When nothing but arcs follows the problem line, they are read as one
+    integer array, as an edge-list body is; any other file (comments
+    between arcs, errors) is read one record at a time, which names the
+    first bad line.
+    """
+    lines = text.splitlines()
     n = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] == "c":
             continue
@@ -419,7 +444,17 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "sp":
                 raise GraphParseError(f"line {lineno}: bad problem line {line!r}")
-            n = int(parts[2])
+            try:
+                declared = int(parts[2])
+            except ValueError:
+                raise GraphParseError(
+                    f"line {lineno}: bad problem line {line!r}") from None
+            if n is None:  # first problem line: try the rest as one array
+                rows = _arc_rows(lines[lineno:], declared)
+                if rows is not None:
+                    n, edges = declared, rows
+                    break
+            n = declared
         elif parts[0] == "a":
             if n is None:
                 raise GraphParseError(f"line {lineno}: arc before problem line")

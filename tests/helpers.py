@@ -95,3 +95,23 @@ def star_graph(n, center=0):
 def decompose(d):
     """Split a diameter into (h, z) with d = 3h + z, z in {0, 1, 2}."""
     return d // 3, d % 3
+
+
+def greedy_hitting_set_reference(members, n):
+    """Greedy hitting set by a full recount per pick: every pick counts the
+    members of all not-yet-hit rows afresh and takes the most frequent
+    vertex, ties to the smallest id."""
+    n_sets, s = members.shape
+    flat = members.ravel()
+    rows = np.repeat(np.arange(n_sets), s)
+    covered = np.zeros(n_sets, dtype=bool)
+    picks = []
+    while True:
+        alive = ~covered[rows]
+        if not alive.any():
+            break
+        counts = np.bincount(flat[alive], minlength=n)
+        pick = int(np.argmax(counts))
+        picks.append(pick)
+        covered |= (members == pick).any(axis=1)
+    return np.asarray(picks, dtype=np.int64)

@@ -136,6 +136,29 @@ def test_input_errors_exit_1_with_message(capsys, tmp_path, p10_file, argv,
     assert message.format(**fill) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("method", ["rv", "rv-weighted", "sampling"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_bad_sample_const_exit_1_with_message(capsys, p10_file, method, value):
+    # -1 used to run 65 doomed attempts, nan to fail converting NaN to int
+    code, out, err = _run(capsys, ["estimate", "--input", p10_file, "--method",
+                                   method, "--sample-const", value])
+    assert code == 1 and out == ""
+    assert err.startswith("error: sample_const must be > 0")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_bench_reps_below_1_is_usage_error(capsys, tmp_path, reps):
+    # used to print the bare CSV header and exit 0
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("family=path,n=5\n")
+    code, out, err = _run(capsys, ["bench", "--corpus", str(corpus),
+                                   "--methods", "two-approx", "--reps", reps])
+    assert code == 1 and out == ""
+    assert f"argument --reps: must be >= 1, got {reps}" in err
+    assert "Traceback" not in err
+
+
 def test_parser_survives_usage_errors(capsys, p10_file):
     # the parser is built once per process and shared by every main call
     argv = ["estimate", "--input", p10_file, "--method", "two-approx"]

@@ -1,14 +1,18 @@
 """estimators module: guarantees, determinism, witnesses, edge cases."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diamest import (GraphError, InfiniteDiameterError, aingworth, build_graph,
-                     dense_condition_pairs, dense_estimate, exact_diameter,
-                     four_fifths_estimate, recompute_witness, sampled_estimate,
+from diamest import (GenSpec, GraphError, InfiniteDiameterError, aingworth,
+                     build_graph, dense_condition_pairs, dense_estimate,
+                     exact_diameter, four_fifths_estimate, generate,
+                     recompute_witness, sampled_estimate,
                      sampled_estimate_weighted, sampling_estimate,
                      sparse_driver, sparse_estimate, two_approx)
+from diamest.estimators import _greedy_hitting_set, _near_sets_all
 from helpers import (complete_graph, cycle_graph, decompose, fw_apsp,
-                     path_graph, random_graph, star_graph)
+                     greedy_hitting_set_reference, path_graph, random_graph,
+                     star_graph)
 
 
 def _sweep_graphs(rng, count, n_hi=60, weight_hi=0, directed_mix=True):
@@ -148,6 +152,71 @@ def test_sparse_matches_step_mirror():
                 == _mirror_sparse(g, hint, thresh))
 
 
+# ---- greedy hitting set -------------------------------------------------------
+
+def _check_hitting_set(members, n):
+    picks = _greedy_hitting_set(members, n)
+    assert np.array_equal(picks, greedy_hitting_set_reference(members, n))
+    assert picks.dtype == np.int64
+    assert np.isin(members, picks).any(axis=1).all()  # every row is hit
+    assert np.unique(picks).size == picks.size        # no pick repeats
+
+
+@st.composite
+def _member_tables(draw):
+    """Tables of sets: each row lists s distinct vertices in [0, n)."""
+    n = draw(st.integers(1, 12))
+    s = draw(st.integers(1, n))
+    rows = draw(st.lists(st.permutations(range(n)), min_size=n, max_size=3 * n))
+    return np.array([row[:s] for row in rows], dtype=np.int64), n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_member_tables())
+def test_hitting_set_matches_recount_reference(table):
+    _check_hitting_set(*table)
+
+
+def test_hitting_set_fixed_tables():
+    tables = [
+        # every vertex in two rows: each pick is a tie, broken by id
+        (np.array([[0, 1], [2, 3], [0, 3], [1, 2]]), 4),
+        (np.array([[3, 2], [1, 0], [2, 1], [0, 3], [4, 5], [5, 4]]), 6),
+        # pick 1 also lies in row 0, hit by pick 0: row 0 must not take a
+        # second count off vertex 2, or the tie 2 = 5 = 6 goes to 5
+        (np.array([[0, 1, 2], [0, 3, 4], [3, 1, 4], [5, 6, 2]]), 7),
+        (np.arange(7)[::-1, None], 7),                                # s = 1
+        (np.array([[4], [4], [0], [2], [4], [0]]), 5),                # s = 1
+        (np.tile(np.arange(6)[::-1], (6, 1)), 6),                     # s = n
+        (np.array([np.roll(np.arange(5), k) for k in range(5)]), 5),  # s = n
+    ]
+    for n, s in ((9, 3), (9, 9), (40, 1), (40, 6)):  # a hub in every row
+        tables.append((_near_sets_all(star_graph(n, center=n // 2), s)[0], n))
+    for members, n in tables:
+        _check_hitting_set(np.asarray(members, dtype=np.int64), n)
+
+
+def test_hitting_set_on_near_sets():
+    rng = np.random.default_rng(227)
+    graphs = [cycle_graph(30), cycle_graph(25, directed=True), path_graph(33),
+              complete_graph(12),
+              generate(GenSpec("grid", 36)),
+              generate(GenSpec("barbell", 25, clique=8, path_len=10)),
+              generate(GenSpec("bounded_degree", 60, max_degree=3, seed=5)),
+              # zero-weight arcs: distance ties settle by vertex id
+              build_graph(6, [(0, 1, 0), (1, 2, 0), (2, 3, 1), (3, 4, 0),
+                              (4, 5, 2), (5, 0, 0), (0, 3, 0)], directed=True),
+              build_graph(5, [(0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0),
+                              (1, 2, 3)])]
+    for i in range(12):
+        n = int(rng.integers(5, 50))
+        graphs.append(random_graph(rng, n, 2 * n, directed=bool(i % 2),
+                                   weight_hi=(0, 3)[i % 3 == 0], connected=True))
+    for g in graphs:
+        for s in sorted({1, 2, 3, int(np.ceil(np.sqrt(g.n))), g.n}):
+            _check_hitting_set(_near_sets_all(g, s)[0], g.n)
+
+
 # ---- sampled (Las Vegas) estimator -----------------------------------------
 
 def test_sampled_full_coverage_is_exact():
@@ -278,6 +347,36 @@ def test_dense_pair_certificate_strictly_improves():
     assert est.value == 5
     assert est.witness.kind == "pair" and est.witness.pair == (7, 6)
     assert recompute_witness(g, est) == 5
+
+
+def test_dense_builds_bitsets_only_for_survivors(monkeypatch):
+    import diamest.estimators as estimators_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bitset built")
+
+    # no u passes radius_out(u) + max radius_in > value: nothing to AND
+    for g, s in ((path_graph(9), 3), (cycle_graph(12), 3),
+                 (generate(GenSpec("gnm", 200, m=500, seed=3)), None)):
+        expected = dense_estimate(g, s)
+        with monkeypatch.context() as patch:
+            patch.setattr(estimators_module, "_tree_bitsets", refuse)
+            assert dense_estimate(g, s) == expected
+    # the frozen instance of test_dense_pair_certificate_strictly_improves
+    # has survivors: they build reach rows for themselves alone
+    arcs = [(0, 1), (0, 5), (1, 0), (1, 4), (1, 5), (1, 7), (2, 0), (2, 3),
+            (3, 1), (3, 2), (4, 6), (5, 0), (5, 3), (6, 5), (6, 7), (7, 5)]
+    g = build_graph(8, arcs, directed=True)
+    built = []
+    real = estimators_module._tree_bitsets
+
+    def count_rows(members, *args):
+        built.append(len(members))
+        return real(members, *args)
+
+    monkeypatch.setattr(estimators_module, "_tree_bitsets", count_rows)
+    assert dense_estimate(g, 4).witness.pair == (7, 6)
+    assert built[0] == 8 and 0 < built[1] < 8  # all in-trees, some reaches
 
 
 def test_dense_value_matches_exhaustive_scan():

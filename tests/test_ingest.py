@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diamest import (GraphError, GraphParseError, IN, OUT, build_graph,
-                     parse_edge_list, parse_graph, search, write_edge_list)
+                     parse_dimacs, parse_edge_list, parse_graph, search,
+                     write_edge_list)
 from diamest.cli import main
 from diamest.search import _dijkstra, _forward_view
 
@@ -246,6 +247,103 @@ def test_broken_files_keep_their_messages(capsys, tmp_path, text, scale, message
 ])
 def test_files_off_the_array_path_parse_as_before(text, scale, n, edges):
     assert parse_edge_list(text, weight_scale=scale) == build_graph(n, edges)
+
+
+# ---- the DIMACS reader --------------------------------------------------------
+
+@PROPERTY
+@given(edge_lists(), st.integers(0, 3))
+def test_dimacs_equals_build_graph(case, noise):
+    n, edges, _ = case
+    arcs = [(u, v, e[2] if len(e) == 3 else 1) for u, v, *e in edges]
+    g = build_graph(n, arcs, directed=True)
+    lines = ["c drawn", f"p sp {n} {len(arcs)}"]
+    lines += [f"a {u + 1} {v + 1} {w}" for u, v, w in arcs]
+    assert parse_dimacs("\n".join(lines) + "\n") == g
+    # comments and blank lines between arcs, tabs, leading blanks, CRLF:
+    # the same graph through the record-by-record reader
+    for k in range(noise):
+        lines.insert(2 + (k * 5) % (len(lines) - 1), ["", "c note", "  "][k])
+    noisy = "\r\n".join("  " + line.replace(" ", "\t", 1) for line in lines)
+    assert parse_dimacs(noisy) == g
+
+
+def test_clean_dimacs_arcs_are_read_as_one_array(monkeypatch):
+    graph_module = importlib.import_module("diamest.graph")
+    real = graph_module._arc_rows
+    results = []
+
+    def record(body, n):
+        results.append(real(body, n))
+        return results[-1]
+
+    monkeypatch.setattr(graph_module, "_arc_rows", record)
+    g = parse_dimacs("c x\np sp 3 2\na 1 2 5\n \ta\t2 3 0\n")
+    assert g == build_graph(3, [(0, 1, 5), (1, 2, 0)], directed=True)
+    assert len(results) == 1 and results[0].tolist() == [[0, 1, 5], [1, 2, 0]]
+
+
+# file text and exact message; captured before arcs went through the array
+# reader, except "p sp x 0", which used to escape as a bare ValueError
+BROKEN_DIMACS = [
+    ("c only a comment\n", "missing 'p sp n m' line"),
+    ("a 1 2 3\n", "line 1: arc before problem line"),
+    ("c x\np sp 3 2\np sp 3\n", "line 3: bad problem line 'p sp 3'"),
+    ("p max 3 2\n", "line 1: bad problem line 'p max 3 2'"),
+    ("p sp x 0\n", "line 1: bad problem line 'p sp x 0'"),
+    ("p sp 3 1 9\n", "line 1: bad problem line 'p sp 3 1 9'"),
+    ("p sp 3 1\na 1 2\n", "line 2: bad arc line 'a 1 2'"),
+    ("p sp 3 1\na 1 2 3 4\n", "line 2: bad arc line 'a 1 2 3 4'"),
+    ("p sp 3 1\na 1 x 3\n", "line 2: bad arc line 'a 1 x 3'"),
+    ("p sp 3 1\na 1 2 1.5\n", "line 2: bad arc line 'a 1 2 1.5'"),
+    ("p sp 3 1\na\n", "line 2: bad arc line 'a'"),
+    ("p sp 3 2\na 1 2 3\na 2 3 1 # note\n", "line 3: bad arc line 'a 2 3 1 # note'"),
+    ("p sp 3 1\na 0 2 3\n", "line 2: arc endpoint out of range for n=3"),
+    ("p sp 3 1\na 1 4 3\n", "line 2: arc endpoint out of range for n=3"),
+    ("p sp 4 3\na 1 2 1\na 2 3 1\na 3 5 1\n",
+     "line 4: arc endpoint out of range for n=4"),
+    ("p sp -1 1\na 1 1 1\n", "line 2: arc endpoint out of range for n=-1"),
+    ("p sp 3 1\na 1 2 3\np sp 2 1\na 1 3 1\n",
+     "line 4: arc endpoint out of range for n=2"),
+    ("p sp 3 1\na 1 2 -3\n", "line 2: negative weight -3"),
+    ("p sp 4 3\na 1 2 1\nc between\n\na 2 3 1\na 3 4 -1\n",
+     "line 6: negative weight -1"),
+    ("p sp 3 1\nx 1 2 3\n", "line 2: unknown record 'x'"),
+    ("p sp 3 1\na1 2 3 4\n", "line 2: unknown record 'a1'"),
+    ("p sp 3 1\n  a\t1 2 3\na 2 3 1\nfoo\n", "line 4: unknown record 'foo'"),
+    ("p sp 3 1\na 1 2 9223372036854775808\n",
+     "weight 9223372036854775808 can make a path over 3 vertices longer than 2^53"),
+    ("p sp 3 2\na 1 2 9007199254740993\na 2 3 1\n",
+     "weight 9007199254740993 can make a path over 3 vertices longer than 2^53"),
+    ("p sp -1 0\n", "vertex count must be nonnegative, got -1"),
+]
+
+
+@pytest.mark.parametrize("text,message", BROKEN_DIMACS)
+def test_broken_dimacs_files_keep_their_messages(capsys, tmp_path, text, message):
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == message
+    path = tmp_path / "bad.gr"
+    path.write_text(text)
+    code = main(["estimate", "--input", str(path), "--method", "two-approx"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"{path}: {message}\n"
+
+
+@pytest.mark.parametrize("text,n,arcs", [
+    ("p sp 3 2\na +1 2 5\na 02 3 0\n", 3, [(0, 1, 5), (1, 2, 0)]),
+    ("p sp 3 1\na \u0661 2 5\n", 3, [(0, 1, 5)]),
+    ("p sp 11 1\na 1 1_1 1_0\n", 11, [(0, 10, 10)]),
+    ("p sp 3 1\na 1 2 5\n\na 2 3 1\nc end\n", 3, [(0, 1, 5), (1, 2, 1)]),
+    ("p sp 3 1\na\u30001 2 5\n", 3, [(0, 1, 5)]),
+    ("p sp 9 1\na 1 2 5\np sp 3 1\na 2 3 1\n", 3, [(0, 1, 5), (1, 2, 1)]),
+    ("c none\np sp 4 0\n", 4, []),
+])
+def test_dimacs_files_off_the_array_path_parse_as_before(text, n, arcs):
+    assert parse_dimacs(text) == build_graph(n, arcs, directed=True)
 
 
 # ---- full weighted searches -------------------------------------------------
