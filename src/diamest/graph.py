@@ -411,11 +411,12 @@ def write_edge_list(g: Graph) -> str:
 
 def _arc_rows(body, n: int):
     """DIMACS arc lines as one (m, 3) int64 array of 0-indexed arcs, or
-    None when some line needs the line-by-line reader: one that is not an
-    ``a`` record, an endpoint out of [1, n] or any line _edge_rows
-    refuses."""
-    text, tags = _ARC_TAG.subn("", "\n".join(body))
-    if tags != len(body):
+    None when some line needs the line-by-line reader: one that is neither
+    blank, a ``c`` comment nor an ``a`` record, an endpoint out of [1, n]
+    or any line _edge_rows refuses."""
+    arcs = [raw for raw in body if (line := raw.strip()) and line[0] != "c"]
+    text, tags = _ARC_TAG.subn("", "\n".join(arcs))
+    if tags != len(arcs):
         return None
     rows = _edge_rows(text.split("\n"), n + 1, 3, 0)
     if rows is None or (len(rows) and rows[:, :2].min() < 1):
@@ -428,10 +429,10 @@ def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS shortest-path file: ``p sp n m`` header and
     ``a u v w`` arcs, 1-indexed.  Produces a directed weighted graph.
 
-    When nothing but arcs follows the problem line, they are read as one
-    integer array, as an edge-list body is; any other file (comments
-    between arcs, errors) is read one record at a time, which names the
-    first bad line.
+    When nothing but arcs, blank lines and comments follows the problem
+    line, the arcs are read as one integer array, as an edge-list body is;
+    any other file (a second problem line, errors) is read one record at a
+    time, which names the first bad line.
     """
     lines = text.splitlines()
     n = None

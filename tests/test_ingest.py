@@ -261,14 +261,39 @@ def test_dimacs_equals_build_graph(case, noise):
     lines += [f"a {u + 1} {v + 1} {w}" for u, v, w in arcs]
     assert parse_dimacs("\n".join(lines) + "\n") == g
     # comments and blank lines between arcs, tabs, leading blanks, CRLF:
-    # the same graph through the record-by-record reader
+    # the same graph
     for k in range(noise):
         lines.insert(2 + (k * 5) % (len(lines) - 1), ["", "c note", "  "][k])
     noisy = "\r\n".join("  " + line.replace(" ", "\t", 1) for line in lines)
     assert parse_dimacs(noisy) == g
 
 
-def test_clean_dimacs_arcs_are_read_as_one_array(monkeypatch):
+# the 9th DIMACS Challenge .gr layout: comment lines before and right after
+# the problem line, as in its sample file and the USA-road files
+CHALLENGE_GR = """\
+c 9th DIMACS Implementation Challenge: Shortest Paths
+c Sample graph file
+c
+p sp 4 5
+c graph contains 4 nodes and 5 arcs
+c
+a 1 2 17
+a 1 3 10
+a 2 4 2
+a 3 2 0
+a 4 3 5
+"""
+
+
+@pytest.mark.parametrize("text,n,arcs", [
+    ("c x\np sp 3 2\na 1 2 5\n \ta\t2 3 0\n", 3, [(0, 1, 5), (1, 2, 0)]),
+    ("p sp 3 1\na 1 2 5\n\na 2 3 1\nc end\n", 3, [(0, 1, 5), (1, 2, 1)]),
+    ("p sp 3 2\r\n  c\tnote\r\n\t\r\na 1 2 5\r\na 2 3 1\r\n", 3,
+     [(0, 1, 5), (1, 2, 1)]),
+    (CHALLENGE_GR, 4, [(0, 1, 17), (0, 2, 10), (1, 3, 2), (2, 1, 0), (3, 2, 5)]),
+], ids=["comment-before-p", "blank-between-arcs", "crlf-indented-comment",
+        "challenge-layout"])
+def test_clean_dimacs_arcs_are_read_as_one_array(monkeypatch, text, n, arcs):
     graph_module = importlib.import_module("diamest.graph")
     real = graph_module._arc_rows
     results = []
@@ -278,9 +303,8 @@ def test_clean_dimacs_arcs_are_read_as_one_array(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(graph_module, "_arc_rows", record)
-    g = parse_dimacs("c x\np sp 3 2\na 1 2 5\n \ta\t2 3 0\n")
-    assert g == build_graph(3, [(0, 1, 5), (1, 2, 0)], directed=True)
-    assert len(results) == 1 and results[0].tolist() == [[0, 1, 5], [1, 2, 0]]
+    assert parse_dimacs(text) == build_graph(n, arcs, directed=True)
+    assert len(results) == 1 and results[0].tolist() == [list(a) for a in arcs]
 
 
 # file text and exact message; captured before arcs went through the array
@@ -337,7 +361,6 @@ def test_broken_dimacs_files_keep_their_messages(capsys, tmp_path, text, message
     ("p sp 3 2\na +1 2 5\na 02 3 0\n", 3, [(0, 1, 5), (1, 2, 0)]),
     ("p sp 3 1\na \u0661 2 5\n", 3, [(0, 1, 5)]),
     ("p sp 11 1\na 1 1_1 1_0\n", 11, [(0, 10, 10)]),
-    ("p sp 3 1\na 1 2 5\n\na 2 3 1\nc end\n", 3, [(0, 1, 5), (1, 2, 1)]),
     ("p sp 3 1\na\u30001 2 5\n", 3, [(0, 1, 5)]),
     ("p sp 9 1\na 1 2 5\np sp 3 1\na 2 3 1\n", 3, [(0, 1, 5), (1, 2, 1)]),
     ("c none\np sp 4 0\n", 4, []),
