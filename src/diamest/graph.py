@@ -21,6 +21,7 @@ a racing first access is harmless.
 """
 from __future__ import annotations
 
+import math
 import re
 import weakref
 from dataclasses import dataclass
@@ -218,15 +219,18 @@ def build_graph(n, edges, directed=False) -> Graph:
 
     ``edges`` is an (m, 2) or (m, 3) integer array, or an iterable of
     (u, v) or (u, v, weight) tuples; mixing the two tuple forms is
-    rejected.  Endpoints must lie in [0, n); weights must be nonnegative
-    integers, and no path may be longer than 2^53, that is
-    (n - 1) * max weight <= 2^53.  Self loops are dropped, duplicates
-    collapse to the minimum weight, and undirected input is symmetrized.
-    A graph left without arcs is unweighted.  An error names the first
-    offending edge in input order.
+    rejected.  n may be at most isqrt(2^63 - 1); endpoints must lie in
+    [0, n); weights must be nonnegative integers, and no path may be
+    longer than 2^53, that is (n - 1) * max weight <= 2^53.  Self loops
+    are dropped, duplicates collapse to the minimum weight, and
+    undirected input is symmetrized.  A graph left without arcs is
+    unweighted.  An error names the first offending edge in input order.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
+    # arcs are sorted by the key src * n + dst, which must fit in int64
+    if n > (limit := math.isqrt(2 ** 63 - 1)):
+        raise GraphError(f"vertex count {n} exceeds the limit of {limit}")
     edges = _edge_array(edges)
     u, v = edges[:, 0], edges[:, 1]
     loop = u == v
@@ -250,8 +254,7 @@ def build_graph(n, edges, directed=False) -> Graph:
     edges = edges.astype(np.int64, copy=False)
     if not directed:
         edges = np.concatenate((edges, edges[:, [1, 0, 2][:edges.shape[1]]]))
-    # sort arcs by (src, dst) and keep one per pair with its minimum weight;
-    # src * n + dst fits int64 for any n whose indptr fits in memory
+    # sort arcs by (src, dst) and keep one per pair with its minimum weight
     key = edges[:, 0] * n + edges[:, 1]
     order = np.argsort(key)
     key = key[order]

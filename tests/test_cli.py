@@ -108,6 +108,20 @@ def test_weights_past_2_to_53_exit_1(capsys, tmp_path):
             assert "Traceback" not in err
 
 
+def test_huge_vertex_count_exit_1(capsys, tmp_path):
+    # such a header used to die allocating the n + 1 row offsets
+    for name, text in (("huge.edges", "99999999999999 0\n"),
+                       ("huge.gr", "p sp 99999999999999 0\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = _run(capsys, ["estimate", "--input", str(path),
+                                       "--method", "two-approx"])
+        assert code == 1 and out == ""
+        assert err == (f"{path}: vertex count 99999999999999 exceeds the "
+                       f"limit of 3037000499\n")
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["bench", "--corpus", "{d}/missing.txt", "--methods", "exact"],
      "cannot read {d}/missing.txt"),

@@ -12,7 +12,8 @@ from diamest import (GraphError, GraphParseError, IN, OUT, build_graph,
                      parse_dimacs, parse_edge_list, parse_graph, search,
                      write_edge_list)
 from diamest.cli import main
-from diamest.search import _dijkstra, _forward_view
+from diamest.search import near_sets
+from helpers import fw_apsp
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -373,22 +374,29 @@ def test_dimacs_files_off_the_array_path_parse_as_before(text, n, arcs):
 
 @PROPERTY
 @given(edge_lists(max_n=12), st.sampled_from([OUT, IN]))
-def test_full_weighted_search_matches_heap_dijkstra(case, direction):
+def test_full_weighted_search_matches_floyd_warshall(case, direction):
     n, edges, directed = case
     g = build_graph(n, [e if len(e) == 3 else (*e, 1) for e in edges],
                     directed=directed)
     if not g.weighted:
         return
-    indptr, indices, weights = _forward_view(g, direction)
+    rows = fw_apsp(g) if direction == OUT else fw_apsp(g).T
+    orders = []
     for v in range(n):
         tree = search(g, v, direction)
-        src = np.array([v], dtype=np.int64)
-        dist, order = _dijkstra(indptr, indices, weights, n, src, n)
+        reached = np.flatnonzero(np.isfinite(rows[v]))
+        order = reached[np.lexsort((reached, rows[v][reached]))]
+        dist = np.full(n, np.iinfo(np.int64).max)
+        dist[order] = rows[v][order]
         assert np.array_equal(tree.dist, dist)
         assert np.array_equal(tree.order, order)
-        # every truncation is a prefix of the full (distance, id) order
-        for s in range(1, order.size + 1):
-            part, cut = _dijkstra(indptr, indices, weights, n, src, s)
-            assert np.array_equal(cut, order[:s])
-            assert np.array_equal(part[cut], dist[cut])
-            assert np.count_nonzero(part != np.iinfo(np.int64).max) == s
+        orders.append((order, dist))
+    # every truncation is a prefix of the full (distance, id) order
+    for s in range(1, n + 1):
+        members, dists = near_sets(g, np.arange(n), s, direction)
+        for v, (order, dist) in enumerate(orders):
+            cut = order[:s]
+            assert np.array_equal(members[v, :cut.size], cut)
+            assert np.array_equal(dists[v, :cut.size], dist[cut])
+            assert (members[v, cut.size:] == -1).all()
+            assert (dists[v, cut.size:] == np.iinfo(np.int64).max).all()

@@ -71,11 +71,12 @@ def _near_reference(g, sources, s, direction):
 
 def _check_near_sets(g, s, sources):
     """near_sets against the reference for every chunk size that matters:
-    the default, one source per chunk, n - 1 per chunk, and one row per
-    run of gathered arcs."""
+    the default, one source per chunk, n - 1 per chunk, one row per run of
+    gathered arcs, and one and two sources per Dijkstra chunk."""
     n = g.n
     chunkings = [{}, dict(_SEEN_BUDGET=n), dict(_SEEN_BUDGET=n * max(1, n - 1)),
-                 dict(_SEEN_BUDGET=2 * n, _ARC_BUDGET=1)]
+                 dict(_SEEN_BUDGET=2 * n, _ARC_BUDGET=1),
+                 dict(_DIJKSTRA_BUDGET=n), dict(_DIJKSTRA_BUDGET=2 * n)]
     for direction in (OUT, IN):
         want = _near_reference(g, sources, s, direction)
         for values in chunkings:
@@ -132,6 +133,47 @@ def test_kernels_on_deep_and_disconnected_graphs(g):
     _check_batch_stats(g, np.arange(g.n))
 
 
+# a weighted path whose one heavy arc takes several doublings of the
+# near-set search radius to cross
+HEAVY_ARC_PATH = build_graph(40, [(i, i + 1, 8 if i == 20 else 1)
+                                  for i in range(39)])
+
+
+@pytest.mark.parametrize("g", [
+    build_graph(6, [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0)],
+                directed=True),
+    HEAVY_ARC_PATH,
+    build_graph(9, [(0, 1, 4), (1, 2, 7), (3, 4, 1), (5, 6, 2), (6, 7, 9)],
+                directed=True),
+], ids=["all-zero-weights", "path-one-heavy-arc", "disconnected-weighted"])
+def test_weighted_near_sets_on_fixed_graphs(g):
+    # zero-weight ties, several radius doublings, and rows that never
+    # reach s, whose searches must still end
+    for s in range(1, g.n + 1):
+        _check_near_sets(g, s, np.arange(g.n))
+        _check_errors(g, s)
+
+
+def test_weighted_near_set_radius_doubles_until_rows_fill(monkeypatch):
+    g = HEAVY_ARC_PATH
+    limits = []
+    dijkstra = search_module._scipy_dijkstra
+
+    def spy(*args, **kwargs):
+        limits.append(kwargs["limit"])
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(search_module, "_scipy_dijkstra", spy)
+    # the 39th closest vertex of 0 lies at distance 45; the radius starts
+    # at the largest weight
+    assert near_sets(g, [0], 39)[1][0, -1] == 45
+    assert limits == [8, 16, 32, 64]
+    limits.clear()
+    # s = n is one full search
+    near_sets(g, [0], 40)
+    assert limits == [np.inf]
+
+
 def test_near_sets_validate_their_arguments():
     g = path_graph(4)
     for bad in ([-1], [0, 4]):
@@ -148,8 +190,8 @@ def test_near_sets_validate_their_arguments():
 
 def _check_bfs(g, sources):
     for direction in (OUT, IN):
-        indptr, indices, _ = search_module._forward_view(g, direction)
-        dist, order = search_module._bfs(indptr, indices, g.n, sources)
+        h = search_module._oriented(g, direction)
+        dist, order = search_module._bfs(h.indptr, h.indices, g.n, sources)
         ref = _rows(g, direction)[sources].min(axis=0)
         assert np.array_equal(order, _order(ref))
         want = np.full(g.n, UNREACHED, dtype=np.int64)

@@ -7,6 +7,7 @@ import pytest
 from diamest import (IN, OUT, InfiniteDiameterError, UNREACHED, batch_depths,
                      batch_search_stats, build_graph, nearest_high_degree,
                      nearest_in_set, nearest_s, search)
+from diamest.search import near_sets
 from helpers import fw_apsp, path_graph, random_graph, star_graph
 
 # the package re-exports the function search(), which hides the module name
@@ -100,6 +101,8 @@ def test_near_set_calls_validate_vertex_and_direction():
     for direction in ("sideways", "OUT", None):
         with pytest.raises(ValueError, match="direction must be 'out' or 'in'"):
             nearest_in_set(g, [0], direction)
+        with pytest.raises(ValueError, match="direction must be 'out' or 'in'"):
+            batch_search_stats(g, [0], direction)
 
 
 def test_nearest_s_matches_full_sort():
@@ -278,11 +281,9 @@ def test_zero_weight_edges_settle_by_id():
     for s, members in ((1, [0]), (2, [0, 1]), (3, [0, 1, 3]), (4, [0, 1, 3, 2])):
         near = nearest_s(g, 0, s, OUT)
         assert near.members.tolist() == members
-    indptr, indices, weights = g.indptr, g.indices, g.weights
-    src = np.array([0], dtype=np.int64)
-    dist, order = search_module._dijkstra(indptr, indices, weights, 4, src, 2)
-    assert order.tolist() == [0, 1]
-    assert dist.tolist() == [0, 0, UNREACHED, UNREACHED]
+    members, dists = near_sets(g, [0], 2)
+    assert members.tolist() == [[0, 1]]
+    assert dists.tolist() == [[0, 0]]
 
 
 def test_search_trees_are_concurrency_safe_values():
