@@ -257,7 +257,7 @@ def _sampled_core(g, s, seed, sample_const, max_reruns, method):
         tree_w = search(g, w, OUT)
         tracker.offer(tree_w.depth, w, OUT)
         near_w = tree_w.order[:s]
-        if np.intersect1d(sample, near_w).size == 0:
+        if np.intersect1d(sample, near_w, assume_unique=True).size == 0:
             continue  # sample missed the near set: resample and rerun
         tracker.offer_batch(batch_depths(g, near_w, IN), near_w, IN)
         return Estimate(tracker.depth, method, tracker.witness(), rerun,

@@ -1,11 +1,15 @@
 """Search primitives consumed by every estimator.
 
-One kernel per job:
+One kernel per job, where on unweighted graphs a numpy kernel that pays
+a fixed cost per level competes with scipy's C search, which pays per
+vertex and arc; _LEVEL_UNITS sets the exchange rate:
 
 - A full search (``search``, ``nearest_in_set``) runs a level BFS from a
-  sorted set of sources on unweighted graphs and scipy's Dijkstra on
-  weighted ones, exact because build_graph keeps every path length within
-  2^53.  Both give the reached vertices in (distance, id) order.
+  sorted set of sources on unweighted graphs until it has run the levels
+  that cost about one C search, then scipy's Dijkstra, which weighted
+  graphs run from the start.  It is exact because build_graph keeps
+  every path length within 2^53, and gives the reached vertices in
+  (distance, id) order.
 - Near sets, the s closest vertices of each of many sources
   (``near_sets``, ``nearest_s``), run one batched truncated BFS on
   unweighted graphs: every source keeps its own tree, and the trees of a
@@ -15,8 +19,9 @@ One kernel per job:
   first s in (distance, id) order in one vectorized pass.
 - Depths and reach counts of many sources (``batch_search_stats``) run
   one bit-parallel multi-source BFS that advances 64 sources per machine
-  word on unweighted graphs, and the same chunked scipy Dijkstra, without
-  a limit, on weighted ones.
+  word on unweighted graphs, unless a probe of the depth shows that one C
+  search per source costs less; then, and on weighted graphs, they run
+  the same chunked scipy Dijkstra without a limit.
 
 Searches never mutate the graph; each owns its private arrays, so any
 number may run concurrently over one shared Graph.
@@ -26,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from .graph import Graph, InfiniteDiameterError, UNREACHED
@@ -106,10 +112,20 @@ def _unique(a):
     return a[np.diff(a, prepend=-1) != 0]
 
 
-def _bfs(indptr, indices, n, sources):
+# A level of _bfs or _msbfs_stats costs a fixed ~25-50 us of numpy calls
+# however small it is; in that time scipy's C search makes about
+# _LEVEL_UNITS vertex and arc visits, so a deep graph runs faster in C.
+# Measured on a 2-core host: a _bfs level is worth 400-800 visits of one
+# search, a one-word MS-BFS level 4000-5000 visits of a batch of them.
+_LEVEL_UNITS = 1500
+
+
+def _bfs(indptr, indices, n, sources, levels):
     """Level BFS from the sorted, distinct ``sources``.
 
-    Settles vertices in (distance, id) order.  Returns (dist, order).
+    Settles vertices in (distance, id) order.  Returns (dist, order), or
+    None once it has run ``levels`` levels without settling every vertex
+    it reaches.
     """
     dist = np.full(n, UNREACHED, dtype=np.int64)
     dist[sources] = 0
@@ -117,6 +133,8 @@ def _bfs(indptr, indices, n, sources):
     parts = [frontier]
     level = 0
     while frontier.size:
+        if level == levels:
+            return None
         nbrs, _ = _gather(indptr, indices, frontier)
         frontier = _unique(nbrs[dist[nbrs] == UNREACHED])
         level += 1
@@ -197,10 +215,16 @@ def _near_bfs(indptr, indices, n, sources, s, members, dists):
 
 def _search_from(h: Graph, sources: np.ndarray):
     """(dist, order) of one full search of ``h`` from the sorted, distinct
-    ``sources``: BFS on unweighted graphs, scipy's Dijkstra on weighted
-    ones, exact because build_graph keeps every path length within 2^53."""
+    ``sources``: scipy's Dijkstra, exact because build_graph keeps every
+    path length within 2^53.  An unweighted graph first tries the level
+    BFS, which is faster while it needs few levels; it gives up after the
+    levels that cost about one C search, so a deep graph pays at most
+    about twice."""
     if not h.weighted:
-        return _bfs(h.indptr, h.indices, h.n, sources)
+        found = _bfs(h.indptr, h.indices, h.n, sources,
+                     (h.n + h.arc_count) // _LEVEL_UNITS)
+        if found is not None:
+            return found
     d = _scipy_dijkstra(h.scipy_matrix(), directed=True, indices=sources,
                         min_only=True)
     reached = np.flatnonzero(np.isfinite(d))
@@ -248,6 +272,15 @@ def _dijkstra_blocks(h: Graph, sources: np.ndarray, s: int):
         yield lo, d
 
 
+def _checked_sources(sources, n):
+    """``sources`` as a flat int64 array; names the first one outside [0, n)."""
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    bad = sources[(sources < 0) | (sources >= n)]
+    if bad.size:
+        raise ValueError(f"source {bad[0]} out of range for n={n}")
+    return sources
+
+
 def _first_s(d, s, members, dists):
     """Write the first s entries of the (distance, id) order of the finite
     entries of every row of ``d`` into the same rows of members/dists.
@@ -279,10 +312,7 @@ def near_sets(g: Graph, sources, s: int, direction: str = OUT):
     scipy's Dijkstra over chunks of sources, its distance limit doubling
     until each row reaches s vertices.
     """
-    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-    bad = sources[(sources < 0) | (sources >= g.n)]
-    if bad.size:
-        raise ValueError(f"source {bad[0]} out of range for n={g.n}")
+    sources = _checked_sources(sources, g.n)
     if not (1 <= s <= g.n):
         raise ValueError(f"s must be in [1, {g.n}], got {s}")
     h = _oriented(g, direction)
@@ -335,12 +365,13 @@ def nearest_in_set(g: Graph, members, direction: str = OUT) -> np.ndarray:
     # distance from v to the set is a distance in the reverse graph from
     # the set to v, so direction OUT traverses reversed arcs
     h = _oriented(g, direction).reverse()
-    members = np.unique(np.asarray(members, dtype=np.int64))
+    members = np.asarray(members, dtype=np.int64).reshape(-1)
     if members.size == 0:
         raise ValueError("member set must be nonempty")
-    if members[0] < 0 or members[-1] >= g.n:
+    # before deduplicating: _unique drops a leading -1
+    if members.min() < 0 or members.max() >= g.n:
         raise ValueError("member out of range")
-    return _search_from(h, members)[0]
+    return _search_from(h, _unique(members))[0]
 
 
 def nearest_high_degree(g: Graph, degree: int) -> np.ndarray:
@@ -361,6 +392,11 @@ def nearest_high_degree(g: Graph, degree: int) -> np.ndarray:
 # a chunk of 64*W sources keeps W words per vertex and per arc, so W is
 # chosen to keep max(n, arcs) * W under the cap, at any n.
 _WORD_BUDGET = 1 << 17
+
+
+def _msbfs_chunk(h: Graph) -> int:
+    """Sources per chunk of _msbfs_stats in ``h``: 64 * W."""
+    return 64 * max(1, _WORD_BUDGET // max(h.n, h.arc_count))
 
 # A level pushes from its frontier when that is cheaper than pulling into
 # every vertex: a pushed arc word costs about _PUSH_COST pulled ones, and a
@@ -390,9 +426,9 @@ def _msbfs_stats(h: Graph, sources: np.ndarray):
     fan = np.diff(push.indptr)
     rows = np.flatnonzero(np.diff(pull.indptr))
     starts = pull.indptr[rows]
-    width = max(1, _WORD_BUDGET // max(n, arcs))
-    for lo in range(0, k, 64 * width):
-        part = sources[lo:lo + 64 * width]
+    chunk = _msbfs_chunk(h)
+    for lo in range(0, k, chunk):
+        part = sources[lo:lo + chunk]
         depth = depths[lo:lo + part.size]
         words = (part.size + 63) >> 6
         bit = np.arange(part.size, dtype=np.int64)
@@ -481,30 +517,57 @@ def _msbfs_stats(h: Graph, sources: np.ndarray):
     return depths, reached
 
 
-def batch_search_stats(g: Graph, sources, direction: str = OUT):
-    """Depths and reach counts for many sources at once.
-
-    Unweighted graphs run one bit-parallel multi-source BFS over chunks of
-    sources; weighted graphs run scipy's Dijkstra over chunks of sources,
-    sized to bound memory.  Depth is the largest finite distance from
-    (OUT) or to (IN) the source; reach counts the source itself.  Returns
-    (depths, reached) int64 arrays aligned with ``sources``, which may be
-    unsorted and hold duplicates.
-    """
-    h = _oriented(g, direction)
-    sources = np.asarray(sources, dtype=np.int64)
-    if ((sources < 0) | (sources >= g.n)).any():
-        raise ValueError(f"source out of range for n={g.n}")
-    if not g.weighted:
-        return _msbfs_stats(h, sources)
+def _dijkstra_stats(h: Graph, sources: np.ndarray):
+    """Depth and reach count of every source's search tree in ``h``, one
+    scipy search per source over chunks of sources."""
     depths = np.empty(sources.size, dtype=np.int64)
     reached = np.empty(sources.size, dtype=np.int64)
-    for lo, d in _dijkstra_blocks(h, sources, g.n):
+    for lo, d in _dijkstra_blocks(h, sources, h.n):
         finite = np.isfinite(d)
         reached[lo:lo + len(d)] = finite.sum(axis=1)
         d[~finite] = -1.0
         depths[lo:lo + len(d)] = d.max(axis=1)
     return depths, reached
+
+
+def _per_source_wins(h: Graph, sources: np.ndarray) -> bool:
+    """Whether one C search per source beats the multi-source BFS of
+    ``sources`` in unweighted ``h``.
+
+    A C search costs about n + arcs units and an MS-BFS level about
+    _LEVEL_UNITS per chunk, so the choice turns on the depth, which one
+    scipy BFS from ``sources[0]`` probes only when it can matter.
+    """
+    n, k = h.n, sources.size
+    per_source = k * (n + h.arc_count)
+    level_cost = -(-k // _msbfs_chunk(h)) * _LEVEL_UNITS
+    if per_source >= level_cost * n:  # MS-BFS wins even at depth n - 1
+        return False
+    root = int(sources[0])
+    order, pred = breadth_first_order(h.scipy_matrix(), root, directed=True)
+    # the last vertex in BFS order is a deepest one; walk its tree path
+    v, depth, pred = int(order[-1]), 0, pred.tolist()
+    while v != root:
+        v, depth = pred[v], depth + 1
+    return per_source < level_cost * (depth + 1)
+
+
+def batch_search_stats(g: Graph, sources, direction: str = OUT):
+    """Depths and reach counts for many sources at once.
+
+    Unweighted graphs run one bit-parallel multi-source BFS over chunks of
+    sources, unless the graph is deep enough that one scipy search per
+    source costs less; weighted graphs always run scipy's Dijkstra over
+    chunks of sources, sized to bound memory.  Depth is the largest finite
+    distance from (OUT) or to (IN) the source; reach counts the source
+    itself.  Returns (depths, reached) int64 arrays aligned with
+    ``sources``, which may be unsorted and hold duplicates.
+    """
+    h = _oriented(g, direction)
+    sources = _checked_sources(sources, g.n)
+    if g.weighted or _per_source_wins(h, sources):
+        return _dijkstra_stats(h, sources)
+    return _msbfs_stats(h, sources)
 
 
 def batch_depths(g: Graph, sources, direction: str = OUT) -> np.ndarray:

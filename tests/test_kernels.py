@@ -2,7 +2,8 @@
 every near set, the multi-source level BFS, the bit-parallel depth batch
 and the chunked Dijkstra batch.  Small graphs come from hypothesis; each
 kernel also runs with its module size caps shrunk, so chunk and run
-boundaries fall inside the graph."""
+boundaries fall inside the graph, and with each side of the numpy-or-C
+cost choice forced through _LEVEL_UNITS."""
 import contextlib
 import importlib
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diamest import IN, OUT, InfiniteDiameterError, build_graph, nearest_s
+from diamest import (IN, OUT, GenSpec, InfiniteDiameterError, build_graph,
+                     generate, nearest_s)
 from diamest.estimators import _near_sets_all
 from diamest.graph import UNREACHED
 from diamest.search import near_sets
@@ -35,7 +37,7 @@ def graphs(draw, max_n=12, weighted=False):
 
 @contextlib.contextmanager
 def caps(**values):
-    """Set module size caps of the search module for the block."""
+    """Set module constants of the search module for the block."""
     old = {name: getattr(search_module, name) for name in values}
     try:
         for name, value in values.items():
@@ -130,7 +132,10 @@ def test_kernels_on_deep_and_disconnected_graphs(g):
         _check_errors(g, s)
     for sources in ([0], [g.n // 2], [1, g.n - 1], np.arange(0, g.n, 7)):
         _check_bfs(g, np.asarray(sources))
-    _check_batch_stats(g, np.arange(g.n))
+    # the multi-source BFS forced, and one scipy search per source forced
+    for units in (1, 1 << 62):
+        with caps(_LEVEL_UNITS=units):
+            _check_batch_stats(g, np.arange(g.n))
 
 
 # a weighted path whose one heavy arc takes several doublings of the
@@ -189,14 +194,26 @@ def test_near_sets_validate_their_arguments():
 
 
 def _check_bfs(g, sources):
+    """The level BFS, with and without its level cap, and the full search
+    with the level BFS forced (_LEVEL_UNITS = 1 never caps it) and with
+    scipy forced (1 << 62 caps it at no levels)."""
     for direction in (OUT, IN):
         h = search_module._oriented(g, direction)
-        dist, order = search_module._bfs(h.indptr, h.indices, g.n, sources)
         ref = _rows(g, direction)[sources].min(axis=0)
-        assert np.array_equal(order, _order(ref))
+        order = _order(ref)
         want = np.full(g.n, UNREACHED, dtype=np.int64)
         want[order] = ref[order]
-        assert np.array_equal(dist, want)
+        # a search of depth d runs d + 1 levels, the last finding nothing
+        levels = int(ref[order[-1]]) + 1
+        assert search_module._bfs(h.indptr, h.indices, g.n, sources,
+                                  levels - 1) is None
+        runs = [search_module._bfs(h.indptr, h.indices, g.n, sources, levels)]
+        for units in (1, 1 << 62):
+            with caps(_LEVEL_UNITS=units):
+                runs.append(search_module._search_from(h, sources))
+        for dist, got in runs:
+            assert np.array_equal(got, order)
+            assert np.array_equal(dist, want)
 
 
 @PROPERTY
@@ -220,9 +237,14 @@ def _check_batch_stats(g, sources):
 def test_bit_parallel_depths_match_floyd_warshall(g, data):
     sources = np.asarray(data.draw(st.lists(st.integers(0, g.n - 1), min_size=1,
                                             max_size=3 * g.n)), dtype=np.int64)
-    # one 64-source chunk pushing every level, and pulling every level
-    for values in ({}, dict(_WORD_BUDGET=1, _PUSH_COST=0, _PUSH_START=0),
-                   dict(_WORD_BUDGET=1, _PUSH_COST=1 << 62, _PUSH_START=0)):
+    # the multi-source BFS as tuned, in one 64-source chunk pushing every
+    # level and pulling every level; then one scipy search per source
+    for values in (dict(_LEVEL_UNITS=1),
+                   dict(_LEVEL_UNITS=1, _WORD_BUDGET=1, _PUSH_COST=0,
+                        _PUSH_START=0),
+                   dict(_LEVEL_UNITS=1, _WORD_BUDGET=1, _PUSH_COST=1 << 62,
+                        _PUSH_START=0),
+                   dict(_LEVEL_UNITS=1 << 62)):
         with caps(**values):
             _check_batch_stats(g, sources)
 
@@ -236,3 +258,31 @@ def test_chunked_dijkstra_depths_match_floyd_warshall(g, data):
     for budget in (1, 2 * g.n, search_module._DIJKSTRA_BUDGET):
         with caps(_DIJKSTRA_BUDGET=budget):
             _check_batch_stats(g, sources)
+
+
+def test_batch_kernel_choice_follows_the_depth(monkeypatch):
+    calls = []
+    for name in ("_msbfs_stats", "_dijkstra_stats", "breadth_first_order"):
+        def spy(*args, _name=name, _kernel=getattr(search_module, name),
+                **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(search_module, name, spy)
+    # 130 levels of 2 arcs each: one C search per source is cheaper, and
+    # only a probe of the depth can tell
+    g = path_graph(130)
+    _check_batch_stats(g, np.arange(g.n))
+    assert calls == ["breadth_first_order", "_dijkstra_stats"] * 2
+    # on a cycle of 1024 vertices (depth 512, one chunk) the choice flips
+    # where k (n + arcs) meets (depth + 1) * _LEVEL_UNITS
+    g = cycle_graph(1024)
+    edge = (513 * search_module._LEVEL_UNITS - 1) // (g.n + g.arc_count)
+    for k, kernel in ((edge, "_dijkstra_stats"), (edge + 1, "_msbfs_stats")):
+        calls.clear()
+        search_module.batch_search_stats(g, np.arange(k), OUT)
+        assert calls == ["breadth_first_order", kernel]
+    calls.clear()
+    # shallow and wide: the multi-source BFS wins even at depth n - 1
+    g = generate(GenSpec("gnm", 1024, m=3072, seed=1, directed=True))
+    search_module.batch_search_stats(g, np.arange(g.n), OUT)
+    assert calls == ["_msbfs_stats"]

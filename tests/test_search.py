@@ -129,6 +129,17 @@ def test_nearest_s_full_radius_is_depth():
         assert nearest_s(g, v, n, OUT).radius == search(g, v, OUT).depth
 
 
+def test_nearest_in_set_validates_members():
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="^member set must be nonempty$"):
+        nearest_in_set(g, [], OUT)
+    # a -1 is caught before deduplication could drop it
+    for members in ([-1], [2, -1], [4], [0, 4]):
+        with pytest.raises(ValueError, match="^member out of range$"):
+            nearest_in_set(g, members, OUT)
+    assert nearest_in_set(g, [3, 1, 3], OUT).tolist() == [1, 0, 1, 0]
+
+
 def test_nearest_in_set_whole_vertex_set():
     g = path_graph(6)
     dist = nearest_in_set(g, list(range(6)), OUT)
@@ -216,13 +227,17 @@ def _check_batch(g, sources):
 
 
 def test_batch_depths_matches_search(monkeypatch):
-    # a word budget of 1 splits every batch into 64-source chunks and
-    # unpacks the bitsets one vertex at a time; push costs of 0 make every
-    # level push from the frontier, a huge one makes every level pull
+    # level units of 1 keep every unweighted batch on the multi-source BFS
+    # and 1 << 62 runs one scipy search per source; a word budget of 1
+    # splits every batch into 64-source chunks and unpacks the bitsets one
+    # vertex at a time; push costs of 0 make every level push from the
+    # frontier, a huge one makes every level pull
     default = search_module._WORD_BUDGET
-    for budget, push_cost, push_start in (
-            (default, search_module._PUSH_COST, search_module._PUSH_START),
-            (default, 0, 0), (1, 0, 0), (1, 1 << 62, 0)):
+    tuned = search_module._PUSH_COST, search_module._PUSH_START
+    for units, budget, push_cost, push_start in (
+            (1, default, *tuned), (1, default, 0, 0), (1, 1, 0, 0),
+            (1, 1, 1 << 62, 0), (1 << 62, default, *tuned)):
+        monkeypatch.setattr(search_module, "_LEVEL_UNITS", units)
         monkeypatch.setattr(search_module, "_WORD_BUDGET", budget)
         monkeypatch.setattr(search_module, "_PUSH_COST", push_cost)
         monkeypatch.setattr(search_module, "_PUSH_START", push_start)
@@ -254,8 +269,9 @@ def test_batch_depths_matches_search(monkeypatch):
             depths, reached = batch_search_stats(g, [], direction)
             assert depths.dtype == reached.dtype == np.int64
             assert depths.size == reached.size == 0
-        for bad in ([-1], [20]):
-            with pytest.raises(ValueError, match="out of range"):
+        for bad, first in (([-1], -1), ([20], 20), ([3, 25, -1], 25)):
+            with pytest.raises(ValueError,
+                               match=f"^source {first} out of range for n=20$"):
                 batch_search_stats(g, bad, OUT)
 
 
