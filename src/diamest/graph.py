@@ -243,7 +243,8 @@ def build_graph(n, edges, directed=False) -> Graph:
         if not (0 <= a < n and 0 <= b < n):
             raise GraphError(f"edge ({a},{b}) out of range for n={n}")
         raise GraphError(f"negative weight {int(edges[i, 2])} on edge ({a},{b})")
-    edges = edges[~loop]
+    if loop.any():
+        edges = edges[~loop]
     weighted = edges.shape[1] == 3 and len(edges) > 0  # no arc, no weights
     # scipy's float64 Dijkstra, which runs every full weighted search, is
     # exact only while every path length stays within 2^53
@@ -270,9 +271,10 @@ def build_graph(n, edges, directed=False) -> Graph:
 def finite_diameter_check(g: Graph) -> bool:
     """True iff every vertex reaches, and is reached from, vertex 0.
 
-    Two breadth-first sweeps from/to an arbitrary node: this decides strong
-    connectivity for directed graphs and plain connectivity for undirected
-    ones, which is exactly when the diameter is finite.
+    Two breadth-first sweeps from/to an arbitrary node decide strong
+    connectivity for directed graphs, and one sweep decides plain
+    connectivity for undirected ones, which is exactly when the diameter is
+    finite.
     """
     if g.n == 0:
         raise GraphError("finite_diameter_check requires at least one vertex")
@@ -282,6 +284,8 @@ def finite_diameter_check(g: Graph) -> bool:
                               return_predecessors=False)
     if fwd.size != g.n:
         return False
+    if not g.directed:  # the graph is its own reverse
+        return True
     bwd = breadth_first_order(g.reverse().scipy_matrix(), 0, directed=True,
                               return_predecessors=False)
     return bwd.size == g.n
@@ -364,7 +368,11 @@ def parse_edge_list(text: str, directed: bool = False, weight_scale: int = 0) ->
     integers in range (comments between edges, decimal weights, errors)
     is read line by line, which names the first bad line.
     """
-    lines = text.splitlines()
+    return _parse_edge_lines(text.splitlines(), directed, weight_scale)
+
+
+def _parse_edge_lines(lines, directed, weight_scale):
+    """parse_edge_list on the lines of the text."""
     for at, raw in enumerate(lines):
         line = raw.strip()
         if line and not line.startswith("#"):
@@ -437,7 +445,11 @@ def parse_dimacs(text: str) -> Graph:
     any other file (a second problem line, errors) is read one record at a
     time, which names the first bad line.
     """
-    lines = text.splitlines()
+    return _parse_dimacs_lines(text.splitlines())
+
+
+def _parse_dimacs_lines(lines):
+    """parse_dimacs on the lines of the text."""
     n = None
     edges = []
     for lineno, raw in enumerate(lines, start=1):
@@ -486,13 +498,14 @@ def parse_dimacs(text: str) -> Graph:
 
 def parse_graph(text: str, directed: bool = False, weight_scale: int = 0) -> Graph:
     """Parse either format, sniffing DIMACS by its problem/comment lines."""
-    for raw in text.splitlines():
+    lines = text.splitlines()
+    for raw in lines:
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             continue
         if line[0] in ("c", "p", "a"):
-            return parse_dimacs(text)
-        return parse_edge_list(text, directed=directed, weight_scale=weight_scale)
+            return _parse_dimacs_lines(lines)
+        return _parse_edge_lines(lines, directed, weight_scale)
     raise GraphParseError("empty graph text")

@@ -2,7 +2,8 @@
 
 One kernel per job, where on unweighted graphs a numpy kernel that pays
 a fixed cost per level competes with scipy's C search, which pays per
-vertex and arc; _LEVEL_UNITS sets the exchange rate:
+vertex and arc; measured prices in visits of the C search (the _UNITS
+constants) set the exchange rate:
 
 - A full search (``search``, ``nearest_in_set``) runs a level BFS from a
   sorted set of sources on unweighted graphs until it has run the levels
@@ -21,7 +22,10 @@ vertex and arc; _LEVEL_UNITS sets the exchange rate:
   one bit-parallel multi-source BFS that advances 64 sources per machine
   word on unweighted graphs, unless a probe of the depth shows that one C
   search per source costs less; then, and on weighted graphs, they run
-  the same chunked scipy Dijkstra without a limit.
+  the same chunked scipy Dijkstra without a limit.  Its bitsets are
+  vertex-major, W words per row, and a level whose frontier is large
+  pulls over in-arcs laid out as ELL slices over rows sorted by
+  descending in-degree, plus a CSR tail for the arcs no slice takes.
 
 Searches never mutate the graph; each owns its private arrays, so any
 number may run concurrently over one shared Graph.
@@ -112,12 +116,12 @@ def _unique(a):
     return a[np.diff(a, prepend=-1) != 0]
 
 
-# A level of _bfs or _msbfs_stats costs a fixed ~25-50 us of numpy calls
-# however small it is; in that time scipy's C search makes about
-# _LEVEL_UNITS vertex and arc visits, so a deep graph runs faster in C.
-# Measured on a 2-core host: a _bfs level is worth 400-800 visits of one
-# search, a one-word MS-BFS level 4000-5000 visits of a batch of them.
-_LEVEL_UNITS = 1500
+# A level of _bfs costs a fixed ~20-40 us of numpy calls however small it
+# is; in that time scipy's C search from the same sources makes about
+# _BFS_LEVEL_UNITS vertex and arc visits, so a deep graph runs faster in C.
+# Measured on a 2-core host: 1100-2000 visits on gnm n = 1024 m = 3n, grid
+# 4096 and path 4096, 4900 on gnm n = 16384.
+_BFS_LEVEL_UNITS = 1500
 
 
 def _bfs(indptr, indices, n, sources, levels):
@@ -222,7 +226,7 @@ def _search_from(h: Graph, sources: np.ndarray):
     about twice."""
     if not h.weighted:
         found = _bfs(h.indptr, h.indices, h.n, sources,
-                     (h.n + h.arc_count) // _LEVEL_UNITS)
+                     (h.n + h.arc_count) // _BFS_LEVEL_UNITS)
         if found is not None:
             return found
     d = _scipy_dijkstra(h.scipy_matrix(), directed=True, indices=sources,
@@ -401,82 +405,184 @@ def _msbfs_chunk(h: Graph) -> int:
 # A level pushes from its frontier when that is cheaper than pulling into
 # every vertex: a pushed arc word costs about _PUSH_COST pulled ones, and a
 # push level costs about _PUSH_START pulled arc words more to set up.
-_PUSH_COST = 4
+_PUSH_COST = 16
 _PUSH_START = 4096
+
+# A pull slice is one np.take of whole rows into a reused buffer and one
+# OR, about 1-2 ns per word plus a fixed few microseconds; it pays while it
+# moves at least _SLICE_WORDS words, against the ~5 ns per word that
+# bitwise_or.reduceat pays for the arcs no slice takes.  Relabelling the
+# rows costs about as much as a few levels of slices moving n + arcs
+# words, so slices are taken only when together they move at least
+# _RELABEL_PAYS (n + arcs) words a level.  Both measured on a 2-core host.
+_SLICE_WORDS = 1024
+_RELABEL_PAYS = 2
+
+
+def _or_rows(a):
+    """OR of the rows of the (n, W) uint64 array ``a``.  A reduce along
+    axis 0 runs its inner loop once per row, which costs more than the ORs
+    when W is small, so rows are first folded into rows of ~256 words."""
+    n, w = a.shape
+    r = 256 // w  # rows per folded row
+    if w == 1 or r < 2 or n < 2 * r:
+        return np.bitwise_or.reduce(a, axis=0)
+    q = n // r * r
+    folded = np.bitwise_or.reduce(a[:q].reshape(-1, r * w), axis=0)
+    return np.bitwise_or.reduce(np.concatenate((folded.reshape(r, w), a[q:])),
+                                axis=0)
+
+
+@dataclass(frozen=True)
+class _Pull:
+    """The in-arcs of ``h`` laid out for a multi-source BFS of W words.
+
+    Row r of the bitsets holds vertex ``order[r]`` and vertex v lies in row
+    ``rank[v]`` (both None: row v holds vertex v).  Slice j lists, for the
+    first ``slices[j].size`` rows, the row of their j-th in-neighbour; the
+    in-arcs past the last slice are ``tail``, in groups from ``starts``,
+    one group for each of ``rows``.
+    """
+
+    order: np.ndarray | None
+    rank: np.ndarray | None
+    slices: list
+    rows: slice | np.ndarray
+    tail: np.ndarray
+    starts: np.ndarray
+
+    def vertex(self, rows):
+        return rows if self.order is None else self.order[rows]
+
+    def row(self, vertices):
+        return vertices if self.rank is None else self.rank[vertices]
+
+
+def _pull_plan(h: Graph, words: int) -> _Pull:
+    """The pull of ``h`` at W = ``words`` (ELL slices plus a CSR tail, Bell
+    & Garland, SC 2009).  Rows go by descending in-degree, so the c_j
+    vertices of in-degree above j are a prefix of the rows and slice j is
+    one gather into it; slices run while c_j * W >= _SLICE_WORDS, and only
+    when together they move at least _RELABEL_PAYS (n + arcs) words a
+    level.  Otherwise rows keep the vertex ids and one reduceat does the
+    pull."""
+    n, pull = h.n, h.reverse()
+    deg = np.diff(pull.indptr)
+    # above[j] vertices have in-degree above j; above[-1] is 0
+    above = n - np.cumsum(np.bincount(deg, minlength=1))
+    cut = int(np.count_nonzero(above * words >= _SLICE_WORDS))
+    if int(above[:cut].sum()) * words < _RELABEL_PAYS * (n + h.arc_count):
+        rows = np.flatnonzero(deg)
+        starts = pull.indptr[rows]
+        if rows.size == n:
+            rows = slice(0, n)
+        return _Pull(None, None, [], rows, pull.indices, starts)
+    # nbr: the row of the source of every in-arc; first: each row's first
+    if (np.diff(deg) <= 0).all():  # the vertex ids already sort
+        order = rank = None
+        nbr, first = pull.indices, pull.indptr[:-1]
+    else:
+        order = np.argsort(-deg, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        nbr, first, deg = rank[pull.indices], pull.indptr[order], deg[order]
+    slices = [nbr[first[:c] + j] for j, c in enumerate(above[:cut].tolist())]
+    # the c rows of in-degree above cut keep their in-arcs from cut on
+    c = int(above[cut])
+    extra = deg[:c] - cut
+    ends = np.cumsum(extra)
+    at = (np.repeat(first[:c] + cut - ends + extra, extra)
+          + np.arange(ends[-1] if c else 0))
+    return _Pull(order, rank, slices, slice(0, c), nbr[at], ends - extra)
 
 
 def _msbfs_stats(h: Graph, sources: np.ndarray):
     """Depth and reach count of every source's BFS tree in ``h``, 64 per word.
 
     All sources of a chunk advance together, one bit each in W words per
-    vertex (multi-source BFS, Then et al., VLDB 2015); word w of vertex v
-    is entry w*n + v of the flat bitsets.  A level with a small frontier
-    pushes its nonzero entries along their out-arcs and merges the ones
-    that land on the same entry; a large one pulls every vertex's words
-    over its in-arcs with one gather and one reduceat, as direction-
-    optimizing BFS does.  A level thus costs O(min(f, arcs * W)) for f the
-    out-arcs of its nonzero entries, so a deep graph pays for what each
-    source reaches, not for every arc on every level.  A source's depth is
-    the last level whose frontier holds its bit.
+    vertex (multi-source BFS, Then et al., VLDB 2015); the bitsets are
+    (n, W) arrays, word w of row r at flat entry r*W + w, with the rows
+    laid out by _pull_plan.  A level with a small frontier pushes its
+    nonzero entries along their out-arcs and merges the ones that land on
+    the same entry; a large one pulls every row's words over its in-arcs,
+    a few whole-row gathers plus one reduceat, as direction-optimizing BFS
+    does.  A level thus costs O(min(f, arcs * W)) for f the out-arcs of its
+    nonzero entries, so a deep graph pays for what each source reaches,
+    not for every arc on every level.  A source's depth is the last level
+    whose frontier holds its bit.
     """
-    push, pull = h, h.reverse()
     n, k, arcs = h.n, sources.size, h.arc_count
     depths = np.empty(k, dtype=np.int64)
     reached = np.empty(k, dtype=np.int64)
-    fan = np.diff(push.indptr)
-    rows = np.flatnonzero(np.diff(pull.indptr))
-    starts = pull.indptr[rows]
+    fan = np.diff(h.indptr)
+    least = int(fan.min()) if n else 0  # smallest out-degree
     chunk = _msbfs_chunk(h)
     for lo in range(0, k, chunk):
         part = sources[lo:lo + chunk]
         depth = depths[lo:lo + part.size]
         words = (part.size + 63) >> 6
+        plan = _pull_plan(h, words)
+        row_fan = fan if plan.order is None else fan[plan.order]
+        entry_fan = np.repeat(row_fan, words)  # out-arcs of each entry
         bit = np.arange(part.size, dtype=np.int64)
-        front = np.zeros((words, n), dtype=np.uint64)
-        np.bitwise_or.at(front, (bit >> 6, part),
+        front = np.zeros((n, words), dtype=np.uint64)
+        np.bitwise_or.at(front, (plan.row(part), bit >> 6),
                          np.uint64(1) << (bit & 63).astype(np.uint64))
         # complement of the seen set: it masks each new frontier, and the
         # bits it keeps at the end count the vertices a source never reached
         unseen = ~front
         flat = unseen.reshape(-1)
-        merged = np.empty(words * n, dtype=np.uint64)
-        stamp = np.empty(words * n, dtype=np.int64)
-        alive = np.bitwise_or.reduce(front, axis=1)
-        key = None  # nonzero entries of a sparse frontier; None: dense
+        # a pull writes the next frontier into ``pulled`` and gathers each
+        # slice into ``gathered``; reused, they cost no page faults
+        pulled, gathered = np.empty_like(front), np.empty_like(front)
+        stamp = np.empty(n * words, dtype=np.int64)
+        alive = _or_rows(front)
+        # a sparse frontier lists its nonzero entries by key w*n + row, in
+        # ascending word order, so that a push can OR each word's entries
+        # with one reduceat; None: the frontier is dense
+        key = None
         spare = arcs * words - _PUSH_START  # a pull beyond a push's set-up
         level = 0
         while True:
             if key is None:
-                pushing = spare >= 0 and _PUSH_COST * int(
-                    np.count_nonzero(front, axis=0) @ fan) <= spare
+                # the out-arcs of the nonzero entries, when a lower bound
+                # does not already rule the push out
+                pushing = (spare >= 0 and _PUSH_COST * least * int(
+                    np.count_nonzero(front)) <= spare and _PUSH_COST * int(
+                        entry_fan @ (front.reshape(-1) != 0)) <= spare)
             else:
-                vertex = key % n
+                word = key // n
+                vertex = plan.vertex(key - word * n)
                 cnt = fan[vertex]
                 pushing = _PUSH_COST * int(cnt.sum()) <= spare
             if pushing:
                 if key is None:
-                    key = np.flatnonzero(front)
-                    val = front.reshape(-1)[key]
-                    vertex = key % n
+                    by_word = front.T.ravel()
+                    key = np.flatnonzero(by_word)
+                    val = by_word[key]
+                    word = key // n
+                    vertex = plan.vertex(key - word * n)
                     cnt = fan[vertex]
-                # targets stay grouped by word, in ascending word order
                 end = np.cumsum(cnt)
-                at = (np.repeat(push.indptr[vertex] + cnt - end, cnt)
+                at = (np.repeat(h.indptr[vertex] + cnt - end, cnt)
                       + np.arange(end[-1]))
-                key = push.indices[at] + np.repeat(key - vertex, cnt)
-                val = np.repeat(val, cnt) & flat[key]
+                row = plan.row(h.indices[at])
+                word = np.repeat(word, cnt)
+                key = word * n + row
+                entry = row * words + word
+                val = np.repeat(val, cnt) & flat[entry]
                 keep = np.flatnonzero(val)
-                key, val = key[keep], val[keep]
+                key, entry, val = key[keep], entry[keep], val[keep]
                 # one entry per target keeps its stamp; OR the rest into it
                 pos = np.arange(key.size)
                 stamp[key] = pos
-                first = stamp[key] == pos
+                win = stamp[key]
+                first = win == pos
                 if not first.all():
-                    merged[key] = 0
-                    np.bitwise_or.at(merged, key, val)
-                    key = key[first]
-                    val = merged[key]
-                flat[key] ^= val
+                    lost = ~first
+                    np.bitwise_or.at(val, win[lost], val[lost])
+                    key, entry, val = key[first], entry[first], val[first]
+                flat[entry] ^= val
                 per_word = np.bincount(key // n, minlength=words)
                 some = np.flatnonzero(per_word)
                 new = np.zeros(words, dtype=np.uint64)
@@ -484,19 +590,21 @@ def _msbfs_stats(h: Graph, sources: np.ndarray):
                     val, (np.cumsum(per_word) - per_word)[some])
             else:
                 if key is not None:
-                    front = np.zeros((words, n), dtype=np.uint64)
-                    front.reshape(-1)[key] = val
+                    front.fill(0)
+                    front[key % n, key // n] = val
                     key = None
-                pulled = np.bitwise_or.reduceat(front[:, pull.indices], starts,
-                                                axis=1)
-                if rows.size == n:
-                    front = pulled
-                else:
-                    front = np.zeros((words, n), dtype=np.uint64)
-                    front[:, rows] = pulled
+                pulled.fill(0)
+                for s in plan.slices:
+                    got = gathered[:s.size]
+                    np.take(front, s, axis=0, out=got, mode="clip")
+                    pulled[:s.size] |= got
+                if plan.tail.size:
+                    pulled[plan.rows] |= np.bitwise_or.reduceat(
+                        np.take(front, plan.tail, axis=0), plan.starts, axis=0)
+                front, pulled = pulled, front
                 front &= unseen
                 unseen ^= front
-                new = np.bitwise_or.reduce(front, axis=1)
+                new = _or_rows(front)
             if (new != alive).any():
                 done = (alive & ~new).astype("<u8", copy=False).view(np.uint8)
                 depth[np.unpackbits(done, count=part.size, bitorder="little")
@@ -505,14 +613,15 @@ def _msbfs_stats(h: Graph, sources: np.ndarray):
                 if not alive.any():
                     break
             level += 1
-        # bit j of word j >> 6 is source j; unpack a few vertices at a time
+        # bit j of word j >> 6 is source j; unpack a few rows at a time and
+        # sum each step in uint16, which holds the counts of 2^16 - 1 rows
         missed = np.zeros(part.size, dtype=np.int64)
-        step = max(1, _WORD_BUDGET // (8 * words))
-        for v in range(0, n, step):
-            raw = np.ascontiguousarray(unseen[:, v:v + step].T)
-            bits = np.unpackbits(raw.astype("<u8", copy=False).view(np.uint8),
-                                 axis=1, count=part.size, bitorder="little")
-            missed += bits.sum(axis=0, dtype=np.int64)
+        step = min(max(1, _WORD_BUDGET // (8 * words)), (1 << 16) - 1)
+        raw = unseen.astype("<u8", copy=False).view(np.uint8)
+        for r in range(0, n, step):
+            bits = np.unpackbits(raw[r:r + step], axis=1, count=part.size,
+                                 bitorder="little")
+            missed += bits.sum(axis=0, dtype=np.uint16)
         reached[lo:lo + part.size] = n - missed
     return depths, reached
 
@@ -530,17 +639,29 @@ def _dijkstra_stats(h: Graph, sources: np.ndarray):
     return depths, reached
 
 
+# In visits of scipy's C search, one search per source costs about
+# _SOURCE_UNITS + n + arcs, and one level of _msbfs_stats costs about
+# _MSBFS_LEVEL_UNITS plus _MSBFS_WORD_UNITS per word of its chunk.  Fitted
+# on a 2-core host to both kernels timed on gnm graphs of n = 16-4096,
+# cycles, paths, grids, barbells and bounded-degree graphs of n = 96-4096.
+_SOURCE_UNITS = 500
+_MSBFS_LEVEL_UNITS = 3000
+_MSBFS_WORD_UNITS = 1000
+
+
 def _per_source_wins(h: Graph, sources: np.ndarray) -> bool:
     """Whether one C search per source beats the multi-source BFS of
     ``sources`` in unweighted ``h``.
 
-    A C search costs about n + arcs units and an MS-BFS level about
-    _LEVEL_UNITS per chunk, so the choice turns on the depth, which one
-    scipy BFS from ``sources[0]`` probes only when it can matter.
+    The two costs above make the choice turn on the depth, which one scipy
+    BFS from ``sources[0]`` probes only when it can matter.
     """
     n, k = h.n, sources.size
-    per_source = k * (n + h.arc_count)
-    level_cost = -(-k // _msbfs_chunk(h)) * _LEVEL_UNITS
+    chunk = _msbfs_chunk(h)
+    words = (min(k, chunk) + 63) >> 6
+    per_source = k * (_SOURCE_UNITS + n + h.arc_count)
+    level_cost = -(-k // chunk) * (_MSBFS_LEVEL_UNITS
+                                   + _MSBFS_WORD_UNITS * words)
     if per_source >= level_cost * n:  # MS-BFS wins even at depth n - 1
         return False
     root = int(sources[0])

@@ -3,7 +3,7 @@ every near set, the multi-source level BFS, the bit-parallel depth batch
 and the chunked Dijkstra batch.  Small graphs come from hypothesis; each
 kernel also runs with its module size caps shrunk, so chunk and run
 boundaries fall inside the graph, and with each side of the numpy-or-C
-cost choice forced through _LEVEL_UNITS."""
+cost choice forced through its level prices."""
 import contextlib
 import importlib
 
@@ -21,6 +21,11 @@ from helpers import cycle_graph, fw_apsp, path_graph
 search_module = importlib.import_module("diamest.search")
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+# prices that keep every unweighted batch on the multi-source BFS, and that
+# run one scipy search per source
+MSBFS = dict(_SOURCE_UNITS=1 << 62)
+PER_SOURCE = dict(_MSBFS_LEVEL_UNITS=1 << 62)
 
 
 @st.composite
@@ -133,8 +138,8 @@ def test_kernels_on_deep_and_disconnected_graphs(g):
     for sources in ([0], [g.n // 2], [1, g.n - 1], np.arange(0, g.n, 7)):
         _check_bfs(g, np.asarray(sources))
     # the multi-source BFS forced, and one scipy search per source forced
-    for units in (1, 1 << 62):
-        with caps(_LEVEL_UNITS=units):
+    for values in (MSBFS, PER_SOURCE):
+        with caps(**values):
             _check_batch_stats(g, np.arange(g.n))
 
 
@@ -195,7 +200,7 @@ def test_near_sets_validate_their_arguments():
 
 def _check_bfs(g, sources):
     """The level BFS, with and without its level cap, and the full search
-    with the level BFS forced (_LEVEL_UNITS = 1 never caps it) and with
+    with the level BFS forced (_BFS_LEVEL_UNITS = 1 never caps it) and with
     scipy forced (1 << 62 caps it at no levels)."""
     for direction in (OUT, IN):
         h = search_module._oriented(g, direction)
@@ -209,7 +214,7 @@ def _check_bfs(g, sources):
                                   levels - 1) is None
         runs = [search_module._bfs(h.indptr, h.indices, g.n, sources, levels)]
         for units in (1, 1 << 62):
-            with caps(_LEVEL_UNITS=units):
+            with caps(_BFS_LEVEL_UNITS=units):
                 runs.append(search_module._search_from(h, sources))
         for dist, got in runs:
             assert np.array_equal(got, order)
@@ -239,12 +244,11 @@ def test_bit_parallel_depths_match_floyd_warshall(g, data):
                                             max_size=3 * g.n)), dtype=np.int64)
     # the multi-source BFS as tuned, in one 64-source chunk pushing every
     # level and pulling every level; then one scipy search per source
-    for values in (dict(_LEVEL_UNITS=1),
-                   dict(_LEVEL_UNITS=1, _WORD_BUDGET=1, _PUSH_COST=0,
+    for values in (MSBFS,
+                   dict(MSBFS, _WORD_BUDGET=1, _PUSH_COST=0, _PUSH_START=0),
+                   dict(MSBFS, _WORD_BUDGET=1, _PUSH_COST=1 << 62,
                         _PUSH_START=0),
-                   dict(_LEVEL_UNITS=1, _WORD_BUDGET=1, _PUSH_COST=1 << 62,
-                        _PUSH_START=0),
-                   dict(_LEVEL_UNITS=1 << 62)):
+                   PER_SOURCE):
         with caps(**values):
             _check_batch_stats(g, sources)
 
@@ -273,16 +277,25 @@ def test_batch_kernel_choice_follows_the_depth(monkeypatch):
     g = path_graph(130)
     _check_batch_stats(g, np.arange(g.n))
     assert calls == ["breadth_first_order", "_dijkstra_stats"] * 2
-    # on a cycle of 1024 vertices (depth 512, one chunk) the choice flips
-    # where k (n + arcs) meets (depth + 1) * _LEVEL_UNITS
-    g = cycle_graph(1024)
-    edge = (513 * search_module._LEVEL_UNITS - 1) // (g.n + g.arc_count)
+    # on a 32 x 32 grid (depth 62 from corner 0, one chunk) the choice
+    # flips where k (_SOURCE_UNITS + n + arcs) meets (depth + 1) times the
+    # price of a level of ceil(k / 64) words
+    g = generate(GenSpec("grid", 1024))
+
+    def per_source_wins(k):
+        level = (search_module._MSBFS_LEVEL_UNITS
+                 + search_module._MSBFS_WORD_UNITS * -(-k // 64))
+        per_source = search_module._SOURCE_UNITS + g.n + g.arc_count
+        return k * per_source < 63 * level
+
+    edge = max(k for k in range(1, g.n + 1) if per_source_wins(k))
+    assert 1 < edge < 64 and not per_source_wins(edge + 1)
     for k, kernel in ((edge, "_dijkstra_stats"), (edge + 1, "_msbfs_stats")):
         calls.clear()
         search_module.batch_search_stats(g, np.arange(k), OUT)
         assert calls == ["breadth_first_order", kernel]
     calls.clear()
-    # shallow and wide: the multi-source BFS wins even at depth n - 1
-    g = generate(GenSpec("gnm", 1024, m=3072, seed=1, directed=True))
+    # dense and shallow: the multi-source BFS wins even at depth n - 1
+    g = generate(GenSpec("gnm", 256, m=40 * 256, seed=1, directed=True))
     search_module.batch_search_stats(g, np.arange(g.n), OUT)
     assert calls == ["_msbfs_stats"]

@@ -4,11 +4,12 @@ import importlib
 import numpy as np
 import pytest
 
-from diamest import (IN, OUT, InfiniteDiameterError, UNREACHED, batch_depths,
-                     batch_search_stats, build_graph, nearest_high_degree,
-                     nearest_in_set, nearest_s, search)
+from diamest import (IN, OUT, GenSpec, InfiniteDiameterError, UNREACHED,
+                     batch_depths, batch_search_stats, build_graph, generate,
+                     nearest_high_degree, nearest_in_set, nearest_s, search)
 from diamest.search import near_sets
-from helpers import fw_apsp, path_graph, random_graph, star_graph
+from helpers import (complete_graph, fw_apsp, path_graph, random_graph,
+                     star_graph)
 
 # the package re-exports the function search(), which hides the module name
 search_module = importlib.import_module("diamest.search")
@@ -227,41 +228,73 @@ def _check_batch(g, sources):
 
 
 def test_batch_depths_matches_search(monkeypatch):
-    # level units of 1 keep every unweighted batch on the multi-source BFS
-    # and 1 << 62 runs one scipy search per source; a word budget of 1
-    # splits every batch into 64-source chunks and unpacks the bitsets one
-    # vertex at a time; push costs of 0 make every level push from the
-    # frontier, a huge one makes every level pull
-    default = search_module._WORD_BUDGET
-    tuned = search_module._PUSH_COST, search_module._PUSH_START
-    for units, budget, push_cost, push_start in (
-            (1, default, *tuned), (1, default, 0, 0), (1, 1, 0, 0),
-            (1, 1, 1 << 62, 0), (1 << 62, default, *tuned)):
-        monkeypatch.setattr(search_module, "_LEVEL_UNITS", units)
-        monkeypatch.setattr(search_module, "_WORD_BUDGET", budget)
-        monkeypatch.setattr(search_module, "_PUSH_COST", push_cost)
-        monkeypatch.setattr(search_module, "_PUSH_START", push_start)
-        rng = np.random.default_rng(47)
-        for i in range(40):
-            n = int(rng.integers(2, 40))
-            g = random_graph(rng, n, 2 * n, directed=bool(i % 2),
-                             weight_hi=6 if i % 3 == 0 else 0)
-            sources = rng.choice(n, size=min(n, 7), replace=False)
-            _check_batch(g, sources)
-            assert np.array_equal(batch_depths(g, sources, OUT),
-                                  batch_search_stats(g, sources, OUT)[0])
-        # sparse directed graph: empty in-rows, reach counts below n;
-        # unsorted sources with duplicates around the 64-bit word edges
-        g = random_graph(rng, 150, 150, directed=True)
-        assert (np.diff(g.reverse().indptr) == 0).any()
-        for k in (63, 64, 65, 129):
+    # a huge per-source price keeps every unweighted batch on the
+    # multi-source BFS and a huge level price runs one scipy search per
+    # source; a word budget of 1 splits every batch into 64-source chunks
+    # and unpacks the bitsets one vertex at a time; push costs of 0 make
+    # every level push from the frontier, a huge one makes every level pull.
+    # A pull takes every in-arc in a slice at a slice size of 1, slices and
+    # a reduceat tail at 2 (the highest in-degree alone is never a slice),
+    # and no slice, on the vertex ids, at a huge one
+    msbfs = dict(_SOURCE_UNITS=1 << 62)
+    pull = dict(msbfs, _PUSH_COST=1 << 62, _PUSH_START=0)
+    for values in (msbfs, dict(msbfs, _PUSH_COST=0, _PUSH_START=0),
+                   dict(msbfs, _WORD_BUDGET=1, _PUSH_COST=0, _PUSH_START=0),
+                   dict(pull, _WORD_BUDGET=1),
+                   dict(pull, _SLICE_WORDS=1, _RELABEL_PAYS=0),
+                   dict(pull, _SLICE_WORDS=2, _RELABEL_PAYS=0),
+                   dict(pull, _WORD_BUDGET=1, _SLICE_WORDS=2, _RELABEL_PAYS=0),
+                   dict(pull, _SLICE_WORDS=1 << 62),
+                   dict(_MSBFS_LEVEL_UNITS=1 << 62)):
+        with monkeypatch.context() as patch:
+            for name, value in values.items():
+                patch.setattr(search_module, name, value)
+            _check_batch_inputs()
+
+
+def _check_batch_inputs():
+    rng = np.random.default_rng(47)
+    for i in range(40):
+        n = int(rng.integers(2, 40))
+        g = random_graph(rng, n, 2 * n, directed=bool(i % 2),
+                         weight_hi=6 if i % 3 == 0 else 0)
+        sources = rng.choice(n, size=min(n, 7), replace=False)
+        _check_batch(g, sources)
+        assert np.array_equal(batch_depths(g, sources, OUT),
+                              batch_search_stats(g, sources, OUT)[0])
+    # sparse directed graph: empty in-rows, reach counts below n;
+    # unsorted sources with duplicates around the 64-bit word edges
+    g = random_graph(rng, 150, 150, directed=True)
+    assert (np.diff(g.reverse().indptr) == 0).any()
+    for k in (63, 64, 65, 129):
+        _check_batch(g, rng.integers(0, g.n, size=k))
+    _check_batch(build_graph(5, [], directed=True), [4, 0, 4])
+    # 300 levels of small frontiers; directed, so IN trees stop at the
+    # source
+    deep = build_graph(300, [(i, i + 1) for i in range(299)], directed=True)
+    _check_batch(deep, [0, 299, 150, 0])
+    _check_batch(path_graph(260), rng.permutation(260)[:70])
+    # in-degrees far apart: a hub of in-degree n - 1 (undirected, and
+    # directed with every other vertex of in-degree 0), complete graphs,
+    # where the ids already sort by in-degree, and cliques on a path
+    into_hub = build_graph(70, [(v, 7) for v in range(70) if v != 7]
+                           + [(7, 3), (3, 5)], directed=True)
+    for g in (star_graph(70, center=7), into_hub, complete_graph(20),
+              build_graph(9, [(u, v) for u in range(9) for v in range(9)],
+                          directed=True),
+              generate(GenSpec("barbell", 60, seed=2))):
+        for k in (1, 63, 64, 65, 129):
             _check_batch(g, rng.integers(0, g.n, size=k))
-        _check_batch(build_graph(5, [], directed=True), [4, 0, 4])
-        # 300 levels of small frontiers; directed, so IN trees stop at the
-        # source
-        deep = build_graph(300, [(i, i + 1) for i in range(299)], directed=True)
-        _check_batch(deep, [0, 299, 150, 0])
-        _check_batch(path_graph(260), rng.permutation(260)[:70])
+    # more than 256 words per vertex: each of 16 sources 1028 times
+    g = random_graph(rng, 16, 40, directed=True)
+    _check_batch(g, np.arange(16))
+    for direction in (OUT, IN):
+        once = batch_search_stats(g, np.arange(16), direction)
+        many = batch_search_stats(g, np.tile(np.arange(16), 1028), direction)
+        for a, b in zip(once, many):
+            assert np.array_equal(np.tile(a, 1028), b)
+
+
     for weighted in (False, True):
         g = random_graph(np.random.default_rng(3), 20, 40,
                          weight_hi=5 if weighted else 0)
