@@ -86,6 +86,14 @@ def _require_finite(g: Graph):
         raise InfiniteDiameterError("graph has infinite diameter")
 
 
+def _covers(g: Graph, sources: np.ndarray) -> bool:
+    """Whether the distinct ``sources`` are every vertex of ``g``.  On a
+    finite graph the deepest of their OUT trees is then the diameter, so no
+    later offer can beat it, nor, as ties keep the earlier offer, replace
+    it: the estimator may stop after that batch."""
+    return sources.size == g.n
+
+
 def _require_unweighted(g: Graph, what: str):
     if g.weighted:
         raise GraphError(f"{what} requires an unweighted graph")
@@ -215,13 +223,19 @@ def two_approx(g: Graph) -> Estimate:
     """Max of the out- and in-eccentricity of vertex 0.
 
     Any vertex's eccentricity (in the better direction) is at least half
-    the diameter, so ceil(D/2) <= value <= D.
+    the diameter, so ceil(D/2) <= value <= D.  The two trees also decide
+    finiteness, as finite_diameter_check would: the diameter is finite iff
+    both reach every vertex.
     """
-    _require_finite(g)
+    if g.n == 0:
+        _require_finite(g)  # names the empty graph
     tracker = _Deepest()
-    tracker.offer(search(g, 0, OUT).depth, 0, OUT)
-    if g.directed:  # undirected: the IN tree is the OUT tree
-        tracker.offer(search(g, 0, IN).depth, 0, IN)
+    # undirected: the IN tree is the OUT tree
+    for direction in (OUT, IN) if g.directed else (OUT,):
+        tree = search(g, 0, direction)
+        if tree.reached < g.n:
+            raise InfiniteDiameterError("graph has infinite diameter")
+        tracker.offer(tree.depth, 0, direction)
     return Estimate(tracker.depth, "two-approx", tracker.witness())
 
 
@@ -252,14 +266,15 @@ def _sampled_core(g, s, seed, sample_const, max_reruns, method):
         sample = np.sort(rng.choice(n, size=size, replace=False))
         tracker = _Deepest()
         tracker.offer_batch(batch_depths(g, sample, OUT), sample, OUT)
-        dist_to_sample = nearest_in_set(g, sample, OUT)
-        w = int(np.argmax(dist_to_sample))
-        tree_w = search(g, w, OUT)
-        tracker.offer(tree_w.depth, w, OUT)
-        near_w = tree_w.order[:s]
-        if np.intersect1d(sample, near_w, assume_unique=True).size == 0:
-            continue  # sample missed the near set: resample and rerun
-        tracker.offer_batch(batch_depths(g, near_w, IN), near_w, IN)
+        if not _covers(g, sample):  # else it hits the pivot's near set, too
+            dist_to_sample = nearest_in_set(g, sample, OUT)
+            w = int(np.argmax(dist_to_sample))
+            tree_w = search(g, w, OUT)
+            tracker.offer(tree_w.depth, w, OUT)
+            near_w = tree_w.order[:s]
+            if np.intersect1d(sample, near_w, assume_unique=True).size == 0:
+                continue  # sample missed the near set: resample and rerun
+            tracker.offer_batch(batch_depths(g, near_w, IN), near_w, IN)
         return Estimate(tracker.depth, method, tracker.witness(), rerun,
                         _params(s=s, seed=seed, sample_const=sample_const,
                                 sample_size=size))
@@ -404,14 +419,23 @@ def sparse_estimate(g: Graph, depth_hint: int, degree_threshold: int) -> Estimat
     """
     _require_unweighted(g, "sparse_estimate")
     _require_finite(g)
+    return _sparse(g, depth_hint, degree_threshold)
+
+
+def _sparse(g: Graph, depth_hint: int, degree_threshold: int) -> Estimate:
+    """:func:`sparse_estimate` on a graph known to have finite diameter."""
     if depth_hint < 0:
         raise ValueError(f"depth_hint must be >= 0, got {depth_hint}")
     if degree_threshold < 1:
         raise ValueError(f"degree_threshold must be >= 1, got {degree_threshold}")
+    params = _params(htilde=depth_hint, delta=degree_threshold)
     tracker = _Deepest()
     high = np.flatnonzero(g.out_degrees >= degree_threshold)
     if high.size:
         tracker.offer_batch(batch_depths(g, high, OUT), high, OUT)
+        if _covers(g, high):
+            return Estimate(tracker.depth, "sparse", tracker.witness(),
+                            params=params)
         dist_high = nearest_high_degree(g, degree_threshold)
         w = int(np.argmax(dist_high))
         radius = min(depth_hint + 1, int(dist_high[w]))
@@ -423,8 +447,7 @@ def sparse_estimate(g: Graph, depth_hint: int, degree_threshold: int) -> Estimat
     cut = np.searchsorted(tree_w.dist[tree_w.order], radius, side="right")
     ball = tree_w.order[:cut]
     tracker.offer_batch(batch_depths(g, ball, IN), ball, IN)
-    return Estimate(tracker.depth, "sparse", tracker.witness(),
-                    params=_params(htilde=depth_hint, delta=degree_threshold))
+    return Estimate(tracker.depth, "sparse", tracker.witness(), params=params)
 
 
 def sparse_driver(g: Graph) -> Estimate:
@@ -434,12 +457,13 @@ def sparse_driver(g: Graph) -> Estimate:
     h <= D/3, the integer floor(2E/3) is always >= h, which is exactly
     what :func:`sparse_estimate` needs for its floor.  The degree
     threshold follows as m**(1/(2*hint+3)); the result is always
-    >= ceil(2D/3).
+    >= ceil(2D/3).  two_approx has checked finiteness on the way.
     """
     base = two_approx(g)
+    _require_unweighted(g, "sparse_estimate")
     hint = (2 * base.value) // 3
     threshold = _iceil(g.m ** (1.0 / (2 * hint + 3))) if g.m else 1
-    est = sparse_estimate(g, hint, threshold)
+    est = _sparse(g, hint, threshold)
     return Estimate(est.value, "sparse", est.witness,
                     params=_params(htilde=hint, delta=threshold,
                                    two_approx=base.value))
@@ -509,7 +533,8 @@ def sampling_estimate(g: Graph, epsilon: float = 0.5, delta: float = 0.25,
     sample = np.sort(rng.choice(n, size=size, replace=False))
     tracker = _Deepest()
     tracker.offer_batch(batch_depths(g, sample, OUT), sample, OUT)
-    if g.directed:  # undirected: IN depths equal OUT ones, and ties keep OUT
+    # undirected: IN depths equal OUT ones, and ties keep OUT
+    if g.directed and not _covers(g, sample):
         tracker.offer_batch(batch_depths(g, sample, IN), sample, IN)
     return Estimate(tracker.depth, "sampling", tracker.witness(),
                     params=_params(epsilon=epsilon, delta=delta, seed=seed,

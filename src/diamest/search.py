@@ -1,16 +1,16 @@
 """Search primitives consumed by every estimator.
 
-One kernel per job, where on unweighted graphs a numpy kernel that pays
-a fixed cost per level competes with scipy's C search, which pays per
-vertex and arc; measured prices in visits of the C search (the _UNITS
-constants) set the exchange rate:
+One kernel per job, where on unweighted graphs a batch chooses between a
+numpy kernel that pays a fixed cost per level and scipy's C search, which
+pays per vertex and arc; measured prices in visits of the C search (the
+_UNITS constants) set the exchange rate:
 
-- A full search (``search``, ``nearest_in_set``) runs a level BFS from a
-  sorted set of sources on unweighted graphs until it has run the levels
-  that cost about one C search, then scipy's Dijkstra, which weighted
-  graphs run from the start.  It is exact because build_graph keeps
-  every path length within 2^53, and gives the reached vertices in
-  (distance, id) order.
+- A full search (``search``, ``nearest_in_set``) is one scipy BFS on
+  unweighted graphs, from an extra vertex whose arcs point at the sources
+  when there are several; pointer jumping over the BFS tree gives the
+  distances and one sort the (distance, id) order of the reached
+  vertices.  Weighted graphs run scipy's Dijkstra, exact because
+  build_graph keeps every path length within 2^53.
 - Near sets, the s closest vertices of each of many sources
   (``near_sets``, ``nearest_s``), run one batched truncated BFS on
   unweighted graphs: every source keeps its own tree, and the trees of a
@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
@@ -116,37 +117,6 @@ def _unique(a):
     return a[np.diff(a, prepend=-1) != 0]
 
 
-# A level of _bfs costs a fixed ~20-40 us of numpy calls however small it
-# is; in that time scipy's C search from the same sources makes about
-# _BFS_LEVEL_UNITS vertex and arc visits, so a deep graph runs faster in C.
-# Measured on a 2-core host: 1100-2000 visits on gnm n = 1024 m = 3n, grid
-# 4096 and path 4096, 4900 on gnm n = 16384.
-_BFS_LEVEL_UNITS = 1500
-
-
-def _bfs(indptr, indices, n, sources, levels):
-    """Level BFS from the sorted, distinct ``sources``.
-
-    Settles vertices in (distance, id) order.  Returns (dist, order), or
-    None once it has run ``levels`` levels without settling every vertex
-    it reaches.
-    """
-    dist = np.full(n, UNREACHED, dtype=np.int64)
-    dist[sources] = 0
-    frontier = sources
-    parts = [frontier]
-    level = 0
-    while frontier.size:
-        if level == levels:
-            return None
-        nbrs, _ = _gather(indptr, indices, frontier)
-        frontier = _unique(nbrs[dist[nbrs] == UNREACHED])
-        level += 1
-        dist[frontier] = level
-        parts.append(frontier)
-    return dist, np.concatenate(parts)
-
-
 # Size caps of one batch of truncated searches: a chunk of k sources keeps
 # a seen bitmap of k * n bools, k = _SEEN_BUDGET // n, and a level gathers
 # the out-arcs of its frontier in runs of whole rows of about _ARC_BUDGET
@@ -217,22 +187,60 @@ def _near_bfs(indptr, indices, n, sources, s, members, dists):
             front = np.concatenate([v for _, v in parts])
 
 
+def _bfs_tree(h: Graph, sources: np.ndarray):
+    """One scipy BFS of unweighted ``h`` from the distinct ``sources``.
+
+    Returns (order, d): the reached vertices in BFS order and their
+    distances.  Several sources hang off one extra vertex n whose arcs
+    point at them.  The distances come from pointer jumping over the
+    tree's parents, by position in the BFS order: while ``up[i]`` is not
+    the root, ``d[i]`` is the distance from position i up to ``up[i]``,
+    and a round doubles the jump.  The last vertex of a BFS order is a
+    deepest one, so once its jump reaches the root every jump has, after
+    ceil(log2 depth) rounds, and ``d[-1]`` is the depth.
+    """
+    mat = h.scipy_matrix()
+    if sources.size == 1:
+        root = int(sources[0])
+    else:
+        arcs = int(mat.indptr[-1])
+        mat = csr_matrix((np.ones(arcs + sources.size),
+                          np.concatenate((mat.indices,
+                                          sources.astype(mat.indices.dtype))),
+                          np.append(mat.indptr, arcs + sources.size)),
+                         shape=(h.n + 1, h.n + 1))
+        root = h.n
+    order, pred = breadth_first_order(mat, root, directed=True)
+    # scipy's int32 arrays, widened once rather than at every index
+    order, pred = order.astype(np.intp), pred.astype(np.intp)
+    pred[root] = root
+    pos = np.empty(pred.size, dtype=np.intp)
+    pos[order] = np.arange(order.size)
+    up = pos[pred[order]]
+    d = np.ones(order.size, dtype=np.int64)
+    d[0] = 0
+    while up[-1]:
+        d += d[up]
+        up = up[up]
+    if root == h.n:
+        return order[1:], d[1:] - 1
+    return order, d
+
+
 def _search_from(h: Graph, sources: np.ndarray):
     """(dist, order) of one full search of ``h`` from the sorted, distinct
-    ``sources``: scipy's Dijkstra, exact because build_graph keeps every
-    path length within 2^53.  An unweighted graph first tries the level
-    BFS, which is faster while it needs few levels; it gives up after the
-    levels that cost about one C search, so a deep graph pays at most
-    about twice."""
+    ``sources``: one scipy BFS on unweighted graphs, scipy's Dijkstra on
+    weighted ones, exact because build_graph keeps every path length
+    within 2^53."""
+    dist = np.full(h.n, UNREACHED, dtype=np.int64)
     if not h.weighted:
-        found = _bfs(h.indptr, h.indices, h.n, sources,
-                     (h.n + h.arc_count) // _BFS_LEVEL_UNITS)
-        if found is not None:
-            return found
+        reached, d = _bfs_tree(h, sources)
+        dist[reached] = d
+        # d * n + v < n^2, which build_graph keeps within int64
+        return dist, np.sort(d * h.n + reached) % h.n
     d = _scipy_dijkstra(h.scipy_matrix(), directed=True, indices=sources,
                         min_only=True)
     reached = np.flatnonzero(np.isfinite(d))
-    dist = np.full(h.n, UNREACHED, dtype=np.int64)
     dist[reached] = d[reached]
     # reached ids ascend, so a stable sort by distance breaks ties by id
     return dist, reached[np.argsort(dist[reached], kind="stable")]
@@ -664,12 +672,7 @@ def _per_source_wins(h: Graph, sources: np.ndarray) -> bool:
                                    + _MSBFS_WORD_UNITS * words)
     if per_source >= level_cost * n:  # MS-BFS wins even at depth n - 1
         return False
-    root = int(sources[0])
-    order, pred = breadth_first_order(h.scipy_matrix(), root, directed=True)
-    # the last vertex in BFS order is a deepest one; walk its tree path
-    v, depth, pred = int(order[-1]), 0, pred.tolist()
-    while v != root:
-        v, depth = pred[v], depth + 1
+    depth = int(_bfs_tree(h, sources[:1])[1][-1])
     return per_source < level_cost * (depth + 1)
 
 

@@ -93,6 +93,30 @@ def test_exact_empty_graph_exit_1(capsys, tmp_path):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_empty_graph_exit_1_for_every_method(capsys, tmp_path):
+    path = tmp_path / "empty.edges"
+    path.write_text("0 0\n")
+    for method in ("two-approx", "aingworth", "rv", "rv-weighted", "dense",
+                   "sparse", "four-fifths", "sampling", "exact"):
+        code, out, err = _run(capsys, ["estimate", "--input", str(path),
+                                       "--method", method])
+        check = "exact_diameter" if method == "exact" else "finite_diameter_check"
+        assert (code, out) == (1, ""), method
+        assert err == f"error: {check} requires at least one vertex\n", method
+
+
+def test_one_way_reach_from_vertex_0_exit_2(capsys, tmp_path):
+    # vertex 0 reaches every vertex, but neither 1 nor 2 reaches 0
+    path = tmp_path / "one-way.edges"
+    path.write_text("3 2\n0 1\n1 2\n")
+    for method in (["two-approx"], ["sparse"],
+                   ["sparse", "--htilde", "1", "--delta", "1"]):
+        code, out, err = _run(capsys, ["estimate", "--input", str(path),
+                                       "--directed", "--method", *method])
+        assert (code, out) == (2, ""), method
+        assert err == "error: graph has infinite diameter\n", method
+
+
 def test_weights_past_2_to_53_exit_1(capsys, tmp_path):
     # path lengths past 2^53 used to wrap to negative values, break the
     # exact oracle with an IndexError, or overflow int64 in build_graph

@@ -1,18 +1,22 @@
 """estimators module: guarantees, determinism, witnesses, edge cases."""
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diamest import (GenSpec, GraphError, InfiniteDiameterError, aingworth,
-                     build_graph, dense_condition_pairs, dense_estimate,
-                     exact_diameter, four_fifths_estimate, generate,
-                     recompute_witness, sampled_estimate,
+from diamest import (IN, OUT, GenSpec, GraphError, InfiniteDiameterError,
+                     aingworth, build_graph, dense_condition_pairs,
+                     dense_estimate, exact_diameter, four_fifths_estimate,
+                     generate, recompute_witness, sampled_estimate,
                      sampled_estimate_weighted, sampling_estimate,
                      sparse_driver, sparse_estimate, two_approx)
 from diamest.estimators import _greedy_hitting_set, _near_sets_all
 from helpers import (complete_graph, cycle_graph, decompose, fw_apsp,
                      greedy_hitting_set_reference, path_graph, random_graph,
                      star_graph)
+
+search_module = importlib.import_module("diamest.search")
 
 
 def _sweep_graphs(rng, count, n_hi=60, weight_hi=0, directed_mix=True):
@@ -480,6 +484,78 @@ def test_sparse_driver_ceiling_floor_random():
         est = sparse_driver(g)
         assert est.value <= d
         assert est.value >= -(-2 * d // 3)  # ceil(2D/3)
+
+
+def test_finiteness_needs_both_trees_of_vertex_0():
+    # 0 reaches every vertex but no vertex reaches 0, and the reverse:
+    # two_approx's own trees must catch both, for the sparse driver too
+    for edges in ([(0, 1), (1, 2)], [(1, 0), (2, 1)]):
+        g = build_graph(3, edges, directed=True)
+        for run in (two_approx, sparse_driver,
+                    lambda g: sparse_estimate(g, 1, 1)):
+            with pytest.raises(InfiniteDiameterError) as exc:
+                run(g)
+            assert str(exc.value) == "graph has infinite diameter"
+    with pytest.raises(GraphError, match="^finite_diameter_check requires "
+                                         "at least one vertex$"):
+        two_approx(build_graph(0, []))
+
+
+# ---- early stops ----------------------------------------------------------------
+
+def _bidirected_cycle(n):
+    return build_graph(n, [(i, (i + d) % n) for i in range(n) for d in (1, -1)],
+                       directed=True)
+
+
+# directed graphs on which each estimator's first OUT batch covers every
+# vertex: sampling's sample (n <= its size formula), rv's (2 (n/s) ln n >=
+# n at n = 16, s = 4) and sparse's high-degree set (every out-degree meets
+# delta); each case checks its own premise on the Estimate
+_FULL_COVER = [
+    ("sampling", lambda g: sampling_estimate(g, seed=3),
+     lambda g, est: est.param("sample_size") == g.n),
+    ("rv", lambda g: sampled_estimate(g, seed=3),
+     lambda g, est: est.param("sample_size") == g.n),
+    ("rv-weighted", lambda g: sampled_estimate_weighted(g, seed=3),
+     lambda g, est: est.param("sample_size") == g.n),
+    ("sparse", lambda g: sparse_estimate(g, 2, 1),
+     lambda g, est: g.out_degrees.min() >= 1),
+    ("sparse-driver", sparse_driver,
+     lambda g, est: g.out_degrees.min() >= est.param("delta")),
+]
+
+
+@pytest.mark.parametrize("name, run, premise", _FULL_COVER,
+                         ids=[name for name, _, _ in _FULL_COVER])
+def test_full_cover_stops_after_the_out_batch(monkeypatch, name, run, premise):
+    import diamest.estimators as estimators_module
+    directions = []
+    real = search_module.batch_search_stats
+
+    def spy(g, sources, direction):
+        directions.append(direction)
+        return real(g, sources, direction)
+
+    monkeypatch.setattr(search_module, "batch_search_stats", spy)
+    rng = np.random.default_rng(229)
+    graphs = [random_graph(rng, 16, 48, directed=True, connected=True,
+                           weight_hi=9 if name == "rv-weighted" else 0)
+              for _ in range(5)]
+    if name == "sparse-driver":
+        graphs = [_bidirected_cycle(n) for n in (16, 24, 40)]
+    for g in graphs:
+        directions.clear()
+        est = run(g)
+        assert premise(g, est)
+        assert directions == [OUT]
+        # the mirror: the same run with the stop turned off takes every
+        # step after the OUT batch, and must give the same Estimate
+        with monkeypatch.context() as patch:
+            patch.setattr(estimators_module, "_covers", lambda g, v: False)
+            directions.clear()
+            assert run(g) == est
+            assert IN in directions
 
 
 # ---- four-fifths estimator ----------------------------------------------------

@@ -1,9 +1,10 @@
 """Search kernels against Floyd-Warshall: the batched truncated BFS behind
-every near set, the multi-source level BFS, the bit-parallel depth batch
-and the chunked Dijkstra batch.  Small graphs come from hypothesis; each
-kernel also runs with its module size caps shrunk, so chunk and run
-boundaries fall inside the graph, and with each side of the numpy-or-C
-cost choice forced through its level prices."""
+every near set, the full search (one scipy BFS from one or many
+sources), the bit-parallel depth batch and the chunked Dijkstra batch.
+Small graphs come from hypothesis; each kernel also runs with its module
+size caps shrunk, so chunk and run boundaries fall inside the graph, and
+a batch runs each side of its numpy-or-C cost choice, forced through the
+prices."""
 import contextlib
 import importlib
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diamest import (IN, OUT, GenSpec, InfiniteDiameterError, build_graph,
-                     generate, nearest_s)
+                     generate, nearest_in_set, nearest_s, search)
 from diamest.estimators import _near_sets_all
 from diamest.graph import UNREACHED
 from diamest.search import near_sets
@@ -199,26 +200,18 @@ def test_near_sets_validate_their_arguments():
 
 
 def _check_bfs(g, sources):
-    """The level BFS, with and without its level cap, and the full search
-    with the level BFS forced (_BFS_LEVEL_UNITS = 1 never caps it) and with
-    scipy forced (1 << 62 caps it at no levels)."""
+    """The full search from the sorted, distinct ``sources``: distances and
+    the (distance, id) order of the reached vertices, out of and into the
+    sources."""
     for direction in (OUT, IN):
         h = search_module._oriented(g, direction)
         ref = _rows(g, direction)[sources].min(axis=0)
         order = _order(ref)
         want = np.full(g.n, UNREACHED, dtype=np.int64)
         want[order] = ref[order]
-        # a search of depth d runs d + 1 levels, the last finding nothing
-        levels = int(ref[order[-1]]) + 1
-        assert search_module._bfs(h.indptr, h.indices, g.n, sources,
-                                  levels - 1) is None
-        runs = [search_module._bfs(h.indptr, h.indices, g.n, sources, levels)]
-        for units in (1, 1 << 62):
-            with caps(_BFS_LEVEL_UNITS=units):
-                runs.append(search_module._search_from(h, sources))
-        for dist, got in runs:
-            assert np.array_equal(got, order)
-            assert np.array_equal(dist, want)
+        dist, got = search_module._search_from(h, sources)
+        assert np.array_equal(got, order)
+        assert np.array_equal(dist, want)
 
 
 @PROPERTY
@@ -226,6 +219,21 @@ def _check_bfs(g, sources):
 def test_multi_source_bfs_matches_floyd_warshall(g, data):
     _check_bfs(g, np.unique(data.draw(st.lists(st.integers(0, g.n - 1),
                                                min_size=1))))
+
+
+def test_unweighted_full_search_runs_no_dijkstra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy's Dijkstra ran on an unweighted graph")
+
+    monkeypatch.setattr(search_module, "_scipy_dijkstra", refuse)
+    # deep, and with many sources: neither leaves the BFS
+    g = path_graph(300)
+    assert search(g, 0).depth == 299
+    assert nearest_in_set(g, [0, 299]).max() == 149
+    g = generate(GenSpec("gnm", 1024, m=3072, seed=1, directed=True))
+    for direction in (OUT, IN):
+        assert search(g, 5, direction).reached == g.n
+        assert nearest_in_set(g, np.arange(0, g.n, 3), direction).max() >= 1
 
 
 def _check_batch_stats(g, sources):
