@@ -14,11 +14,10 @@ from .search import (IN, OUT, NearSet, SearchTree, batch_depths,
                      nearest_s, search)
 from .oracle import ExactResult, exact_apsp, exact_diameter
 from .estimators import (Estimate, RestartLimitError, Witness, aingworth,
-                         dense_condition_pairs, dense_estimate,
-                         four_fifths_estimate, recompute_witness,
-                         sampled_estimate, sampled_estimate_weighted,
-                         sampling_estimate, sparse_driver, sparse_estimate,
-                         two_approx)
+                         dense_estimate, four_fifths_estimate,
+                         recompute_witness, sampled_estimate,
+                         sampled_estimate_weighted, sampling_estimate,
+                         sparse_driver, sparse_estimate, two_approx)
 from .hardness import (ReductionInstance, brute_force_dominating_set,
                        build_diameter_instance)
 from .generators import PRNG_NAME, GenSpec, generate
@@ -33,10 +32,10 @@ __all__ = [
     "IN", "OUT", "NearSet", "SearchTree", "batch_depths", "batch_search_stats",
     "nearest_high_degree", "nearest_in_set", "nearest_s", "search",
     "ExactResult", "exact_apsp", "exact_diameter",
-    "Estimate", "RestartLimitError", "Witness", "aingworth",
-    "dense_condition_pairs", "dense_estimate", "four_fifths_estimate",
-    "recompute_witness", "sampled_estimate", "sampled_estimate_weighted",
-    "sampling_estimate", "sparse_driver", "sparse_estimate", "two_approx",
+    "Estimate", "RestartLimitError", "Witness", "aingworth", "dense_estimate",
+    "four_fifths_estimate", "recompute_witness", "sampled_estimate",
+    "sampled_estimate_weighted", "sampling_estimate", "sparse_driver",
+    "sparse_estimate", "two_approx",
     "ReductionInstance", "brute_force_dominating_set", "build_diameter_instance",
     "PRNG_NAME", "GenSpec", "generate",
     "__version__",

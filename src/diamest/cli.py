@@ -17,21 +17,23 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from .estimators import (Estimate, RestartLimitError, Witness, aingworth,
-                         dense_estimate, four_fifths_estimate,
-                         sampled_estimate, sampled_estimate_weighted,
-                         sampling_estimate, sparse_driver, sparse_estimate,
-                         two_approx)
+from .estimators import (DEFAULT_SAMPLE_CONST, DEFAULT_SAMPLING_DELTA,
+                         DEFAULT_SAMPLING_EPSILON, Estimate, RestartLimitError,
+                         Witness, aingworth, dense_estimate,
+                         four_fifths_estimate, sampled_estimate,
+                         sampled_estimate_weighted, sampling_estimate,
+                         sparse_driver, sparse_estimate, two_approx)
 from .generators import GenSpec, generate, spec_metadata
 from .graph import (Graph, GraphError, GraphParseError, InfiniteDiameterError,
                     parse_graph, write_edge_list)
-from .hardness import build_diameter_instance, write_metadata
-from .oracle import APSP_CAP_DEFAULT, exact_diameter
+from .hardness import NODE_CAP_DEFAULT, build_diameter_instance, write_metadata
+from .oracle import exact_diameter
 
 METHODS = ("two-approx", "aingworth", "rv", "rv-weighted", "dense", "sparse",
            "four-fifths", "sampling", "exact")
+
+# largest n for which bench runs exact_diameter to fill oracle_d and ratio
+ORACLE_CAP_DEFAULT = 2048
 
 CSV_HEADER = ["instance", "n", "m", "method", "s", "delta", "htilde", "seed",
               "estimate", "oracle_d", "ratio", "reruns", "millis"]
@@ -78,7 +80,8 @@ def _write_file(path: str, text: str):
 
 
 def run_method(g: Graph, method: str, *, s=None, delta=None, htilde=None,
-               epsilon=0.5, sample_const=2.0, seed=0) -> Estimate:
+               epsilon=DEFAULT_SAMPLING_EPSILON,
+               sample_const=DEFAULT_SAMPLE_CONST, seed=0) -> Estimate:
     """Dispatch one estimator run; shared by the estimate and bench paths."""
     if method == "exact":
         res = exact_diameter(g)
@@ -106,7 +109,7 @@ def run_method(g: Graph, method: str, *, s=None, delta=None, htilde=None,
     if method == "four-fifths":
         return four_fifths_estimate(g)
     if method == "sampling":
-        frac = 0.25 if delta is None else float(delta)
+        frac = DEFAULT_SAMPLING_DELTA if delta is None else float(delta)
         return sampling_estimate(g, epsilon=epsilon, delta=frac, seed=seed,
                                  sample_const=sample_const)
     raise GraphError(f"unknown method {method!r}")
@@ -237,7 +240,7 @@ def _derived_seed(seed: int, instance: str, method: str, rep: int) -> int:
 def _bench_instance(name, g, methods, reps, args):
     rows = []
     oracle_d = None
-    if g.n <= args.oracle_cap:
+    if 0 < g.n <= args.oracle_cap:  # an empty graph has no diameter
         res = exact_diameter(g)
         if res.diameter.finite:
             oracle_d = res.diameter.value
@@ -311,13 +314,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def fit_time_exponent(sizes, times) -> float:
-    """Least-squares slope of log(time) against log(size)."""
-    sizes = np.asarray(sizes, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    return float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
-
-
 # ---- reduce / gen -----------------------------------------------------------
 
 def _cmd_reduce(args) -> int:
@@ -366,7 +362,7 @@ def _build_parser() -> _Parser:
                         help="base seed for randomized estimators")
     common.add_argument("--threads", type=int, default=1,
                         help="bench worker threads (0 = auto)")
-    common.add_argument("--oracle-cap", type=int, default=APSP_CAP_DEFAULT,
+    common.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_DEFAULT,
                         help="largest n for which bench computes the exact diameter")
 
     graph_in = argparse.ArgumentParser(add_help=False)
@@ -383,9 +379,11 @@ def _build_parser() -> _Parser:
                         help="degree threshold (sparse) or failure fraction (sampling)")
     tuning.add_argument("--htilde", type=int, default=None,
                         help="depth hint override for the sparse estimator")
-    tuning.add_argument("--epsilon", type=float, default=0.5,
+    tuning.add_argument("--epsilon", type=float,
+                        default=DEFAULT_SAMPLING_EPSILON,
                         help="diameter exponent for the sampling estimator")
-    tuning.add_argument("--sample-const", type=float, default=2.0,
+    tuning.add_argument("--sample-const", type=float,
+                        default=DEFAULT_SAMPLE_CONST,
                         help="multiplier on the sample-size formulas")
 
     parser = _Parser(prog="diamest",
@@ -417,7 +415,7 @@ def _build_parser() -> _Parser:
     p_red.add_argument("--k", type=int, required=True, help="subset size")
     p_red.add_argument("--out", required=True,
                        help="output prefix (.edges and .meta)")
-    p_red.add_argument("--node-cap", type=int, default=10 ** 6)
+    p_red.add_argument("--node-cap", type=int, default=NODE_CAP_DEFAULT)
     p_red.set_defaults(func=_cmd_reduce)
 
     p_gen = sub.add_parser("gen", parents=[common],

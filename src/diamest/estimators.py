@@ -25,6 +25,8 @@ from .search import (IN, OUT, batch_depths, near_sets, nearest_high_degree,
                      nearest_in_set, nearest_s, search, _gather)
 
 DEFAULT_SAMPLE_CONST = 2.0
+DEFAULT_SAMPLING_EPSILON = 0.5
+DEFAULT_SAMPLING_DELTA = 0.25
 DEFAULT_RERUN_CAP = 64
 
 _FLIP = {OUT: IN, IN: OUT}
@@ -323,8 +325,11 @@ def dense_estimate(g: Graph, s: int | None = None) -> Estimate:
     _require_unweighted(g, "dense_estimate")
     _require_finite(g)
     s = _clamp_s(g, s, _iceil((g.m / g.n) ** (1.0 / 3.0)) if g.m else 1)
-    (fwd_tr, out_members, out_dists), (rev_tr, in_members, in_dists) = \
-        _pair_scan(g, s)
+    # rows of the sweep on g are out-trees, rows of the one on its reverse
+    # are in-trees; an undirected graph is its own reverse
+    fwd = _aingworth_sweep(g, s)
+    rev = _aingworth_sweep(g.reverse(), s) if g.directed else fwd
+    (fwd_tr, out_members, out_dists), (rev_tr, in_members, in_dists) = fwd, rev
     radii_out, radii_in = out_dists[:, -1], in_dists[:, -1]
     tracker = _Deepest()
     tracker.offer(fwd_tr.depth, fwd_tr.source, fwd_tr.direction)
@@ -376,36 +381,6 @@ def _tree_bitsets(members, mdists, n, g: Graph | None = None):
     np.bitwise_or.at(bits, (rows, verts >> 6),
                      np.uint64(1) << (verts & 63).astype(np.uint64))
     return bits
-
-
-def _pair_scan(g: Graph, s: int):
-    """Both near-set sweeps of the pair scan: the (tracker, members,
-    member_dists) of the sweep on ``g``, whose rows are out-trees, and of
-    the sweep on its reverse, whose rows are in-trees."""
-    fwd = _aingworth_sweep(g, s)
-    return fwd, _aingworth_sweep(g.reverse(), s) if g.directed else fwd
-
-
-def dense_condition_pairs(g: Graph, s: int):
-    """Exhaustive list of (u, v, certified_bound) pairs the scan accepts.
-
-    Verification helper: every returned bound must be a true lower bound
-    on d(u, v).  Quadratic in n; intended for small graphs.
-    """
-    _require_unweighted(g, "dense_condition_pairs")
-    _require_finite(g)
-    s = _clamp_s(g, s, 1)
-    (_, out_members, out_dists), (_, in_members, in_dists) = _pair_scan(g, s)
-    radii_out, radii_in = out_dists[:, -1], in_dists[:, -1]
-    reach_bits = _tree_bitsets(out_members, out_dists, g.n, g)
-    in_bits = _tree_bitsets(in_members, in_dists, g.n)
-    hits = []
-    for u in range(g.n):
-        allowed = ~np.bitwise_and(in_bits, reach_bits[u]).any(axis=1)
-        allowed[u] = False
-        for v in np.flatnonzero(allowed):
-            hits.append((u, int(v), int(radii_out[u] + radii_in[v])))
-    return hits
 
 
 def sparse_estimate(g: Graph, depth_hint: int, degree_threshold: int) -> Estimate:
@@ -512,8 +487,8 @@ def four_fifths_estimate(g: Graph, distance_oracle=None) -> Estimate:
                     params=extra)
 
 
-def sampling_estimate(g: Graph, epsilon: float = 0.5, delta: float = 0.25,
-                      seed: int = 0,
+def sampling_estimate(g: Graph, epsilon: float = DEFAULT_SAMPLING_EPSILON,
+                      delta: float = DEFAULT_SAMPLING_DELTA, seed: int = 0,
                       sample_const: float = DEFAULT_SAMPLE_CONST) -> Estimate:
     """Random-sample estimator for large diameters.
 

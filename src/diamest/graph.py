@@ -114,9 +114,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def arc_weights(self, v: int) -> np.ndarray:
-        return self.weights[self.indptr[v]:self.indptr[v + 1]]
-
     def max_weight(self) -> int:
         """Largest edge weight (1 for unweighted graphs with edges)."""
         if self.arc_count == 0:
@@ -124,12 +121,6 @@ class Graph:
         if self.weights is None:
             return 1
         return int(self.weights.max())
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Membership query on the sorted adjacency row, O(log deg)."""
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return bool(i < row.size and row[i] == v)
 
     # ---- derived graphs ---------------------------------------------------
 

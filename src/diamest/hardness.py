@@ -40,12 +40,6 @@ class ReductionInstance:
     expected_diameter: int | None
     certificate: tuple[int, ...] | None
 
-    def node_label(self, node: int):
-        """Original vertex id for clique nodes, k-subset for subset nodes."""
-        if node < self.base_n:
-            return node
-        return self.subsets[node - self.base_n]
-
 
 def _closed_neighborhood_masks(g: Graph) -> list[int]:
     masks = []
@@ -149,14 +143,3 @@ def write_metadata(inst: ReductionInstance) -> str:
         else:
             lines.append("certificate=none")
     return "\n".join(lines) + "\n"
-
-
-def parse_metadata(text: str) -> dict:
-    out = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        out[key] = value
-    return out

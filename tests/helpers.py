@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from diamest import build_graph
+from diamest import IN, OUT, build_graph, nearest_s
 
 
 def fw_apsp(g):
@@ -25,6 +25,15 @@ def fw_apsp(g):
     for k in range(n):
         d = np.minimum(d, d[:, k, None] + d[None, k, :])
     return d
+
+
+def has_edge(g, u, v):
+    return int(v) in g.neighbors(u).tolist()
+
+
+def arc_weights(g, v):
+    """Weights of v's out-arcs, in the order of ``g.neighbors(v)``."""
+    return g.weights[g.indptr[v]:g.indptr[v + 1]]
 
 
 def fw_diameter(g):
@@ -115,3 +124,48 @@ def greedy_hitting_set_reference(members, n):
         picks.append(pick)
         covered |= (members == pick).any(axis=1)
     return np.asarray(picks, dtype=np.int64)
+
+
+def dense_pairs_reference(g, s):
+    """Every (u, v, bound) with u != v that the dense pair scan accepts.
+
+    Both truncated trees (the vertices strictly inside the near-set radius)
+    come from one ``nearest_s`` call per vertex and are compared as Python
+    sets: the pair passes when the trees share no vertex and no arc runs
+    from u's tree into v's.  The bound is radius_out(u) + radius_in(v).
+    Sorted by (u, v).
+    """
+    def tree(near):
+        return set(near.members[near.member_dists < near.radius].tolist())
+
+    outs = [nearest_s(g, u, s, OUT) for u in range(g.n)]
+    ins = [nearest_s(g, v, s, IN) for v in range(g.n)]
+    in_trees = [tree(near) for near in ins]
+    hits = []
+    for u in range(g.n):
+        tree_out = tree(outs[u])
+        reach = tree_out | {y for x in tree_out
+                            for y in g.neighbors(x).tolist()}
+        for v in range(g.n):
+            if u != v and not reach & in_trees[v]:
+                hits.append((u, v, outs[u].radius + ins[v].radius))
+    return hits
+
+
+def fit_time_exponent(sizes, times):
+    """Least-squares slope of log(time) against log(size)."""
+    sizes = np.asarray(sizes, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    return float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
+
+
+def parse_metadata(text):
+    """The key=value lines of a reduction's ``.meta`` file as a dict."""
+    out = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        out[key] = value
+    return out

@@ -15,8 +15,7 @@ from diamest import (aingworth, build_diameter_instance, dense_estimate,
                      generate, GenSpec, sampled_estimate,
                      sampled_estimate_weighted, sampling_estimate,
                      sparse_driver, two_approx)
-from diamest.cli import fit_time_exponent
-from helpers import decompose, random_graph
+from helpers import decompose, fit_time_exponent, random_graph
 
 SEED = 987_654_321
 

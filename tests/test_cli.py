@@ -5,9 +5,9 @@ import io
 import pytest
 
 from diamest import exact_diameter, parse_edge_list, parse_graph, write_edge_list
-from diamest.cli import CSV_HEADER, fit_time_exponent, load_corpus, main
-from diamest.hardness import parse_metadata
-from helpers import path_graph, star_graph
+from diamest.cli import CSV_HEADER, load_corpus, main
+from helpers import (fit_time_exponent, parse_metadata, path_graph,
+                     star_graph)
 
 
 @pytest.fixture

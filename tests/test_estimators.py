@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diamest import (IN, OUT, GenSpec, GraphError, InfiniteDiameterError,
-                     aingworth, build_graph, dense_condition_pairs,
-                     dense_estimate, exact_diameter, four_fifths_estimate,
-                     generate, recompute_witness, sampled_estimate,
-                     sampled_estimate_weighted, sampling_estimate,
-                     sparse_driver, sparse_estimate, two_approx)
+                     aingworth, build_graph, dense_estimate, exact_diameter,
+                     four_fifths_estimate, generate, recompute_witness,
+                     sampled_estimate, sampled_estimate_weighted,
+                     sampling_estimate, sparse_driver, sparse_estimate,
+                     two_approx)
 from diamest.estimators import _greedy_hitting_set, _near_sets_all
-from helpers import (complete_graph, cycle_graph, decompose, fw_apsp,
+from helpers import (complete_graph, cycle_graph, decompose,
+                     dense_pairs_reference, fw_apsp,
                      greedy_hitting_set_reference, path_graph, random_graph,
                      star_graph)
 
@@ -327,7 +328,7 @@ def test_dense_scan_soundness():
         g = random_graph(rng, n, 2 * n, directed=bool(i % 2), connected=True)
         ref = fw_apsp(g)
         s = int(rng.integers(1, 5))
-        for u, v, bound in dense_condition_pairs(g, s):
+        for u, v, bound in dense_pairs_reference(g, s):
             assert ref[u, v] >= bound
             fired += 1
     assert fired > 0
@@ -383,53 +384,39 @@ def test_dense_builds_bitsets_only_for_survivors(monkeypatch):
     assert built[0] == 8 and 0 < built[1] < 8  # all in-trees, some reaches
 
 
-def test_dense_value_matches_exhaustive_scan():
+def _dense_scan_cases():
     rng = np.random.default_rng(179)
     for i in range(60):
         n = int(rng.integers(4, 36))
         g = random_graph(rng, n, int(rng.integers(n, 3 * n)),
                          directed=bool(i % 2), connected=True)
-        est = dense_estimate(g)
+        # the default s, and larger ones, under which pairs win now and then
+        for s in (None, 4, 8):
+            yield g, s
+    # frozen: at s = 6 the pairs (4, 11) and (4, 12) both certify the value
+    yield build_graph(13, [
+        (0, 3), (0, 5), (0, 6), (0, 8), (0, 9), (1, 2), (1, 5), (1, 9),
+        (1, 10), (2, 6), (2, 7), (3, 4), (3, 9), (4, 5), (5, 9), (6, 7),
+        (6, 8), (6, 10), (6, 11), (6, 12), (7, 8), (7, 10), (7, 11), (7, 12),
+        (8, 11), (11, 12)]), 6
+
+
+def test_dense_value_matches_exhaustive_scan():
+    pair_witnesses = 0
+    for g, s_arg in _dense_scan_cases():
+        est = dense_estimate(g, s_arg)
         s = est.param("s")
-        tree_part = max(aingworth(g, s).value,
-                        aingworth(g.reverse(), s).value)
-        pair_part = max((b for _, _, b in dense_condition_pairs(g, s)),
-                        default=-1)
+        tree_part = max(aingworth(g, s).value, aingworth(g.reverse(), s).value)
+        pairs = dense_pairs_reference(g, s)
+        pair_part = max((b for _, _, b in pairs), default=-1)
         assert est.value == max(tree_part, pair_part)
-
-
-def test_dense_condition_pairs_match_per_pair_check():
-    # the bitset scan against a per-pair re-derivation: both truncated
-    # trees from nearest_s, then the two checks recompute_witness makes
-    from diamest import IN, OUT, nearest_s
-
-    rng = np.random.default_rng(181)
-    accepted = rejected = 0
-    for i in range(80):
-        n = int(rng.integers(4, 18))
-        g = random_graph(rng, n, int(rng.integers(n, 3 * n)),
-                         directed=bool(i % 2), connected=True)
-        s = i % 4 + 1
-        outs = [nearest_s(g, u, s, OUT) for u in range(n)]
-        ins = [nearest_s(g, v, s, IN) for v in range(n)]
-
-        def tree(near):
-            return set(near.members[near.member_dists < near.radius].tolist())
-
-        expected = set()
-        for u in range(n):
-            tree_out = tree(outs[u])
-            reach = {int(y) for x in tree_out for y in g.neighbors(x)}
-            for v in range(n):
-                tree_in = tree(ins[v])
-                if u != v and not tree_out & tree_in and not reach & tree_in:
-                    expected.add((u, v, outs[u].radius + ins[v].radius))
-        got = dense_condition_pairs(g, s)
-        assert len(got) == len(set(got))
-        assert set(got) == expected
-        accepted += len(expected)
-        rejected += n * (n - 1) - len(expected)
-    assert accepted > 0 and rejected > 0
+        if est.witness.kind == "pair":
+            # the scan keeps the first (u, v), in (u, v) order, that
+            # certifies the value
+            first = min((u, v) for u, v, b in pairs if b == est.value)
+            assert est.witness.pair == first
+            pair_witnesses += 1
+    assert pair_witnesses > 0
 
 
 # ---- sparse estimator ---------------------------------------------------------

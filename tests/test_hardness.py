@@ -7,8 +7,16 @@ import pytest
 from diamest import (GraphError, brute_force_dominating_set,
                      build_diameter_instance, build_graph, exact_apsp,
                      exact_diameter)
-from diamest.hardness import parse_metadata, write_metadata
-from helpers import complete_graph, path_graph, random_graph, star_graph
+from diamest.hardness import write_metadata
+from helpers import (complete_graph, has_edge, parse_metadata, path_graph,
+                     random_graph, star_graph)
+
+
+def node_label(inst, node):
+    """Original vertex id for clique nodes, k-subset for subset nodes."""
+    if node < inst.base_n:
+        return node
+    return inst.subsets[node - inst.base_n]
 
 
 def test_dominating_set_star():
@@ -70,7 +78,7 @@ def test_reduction_structure():
     # the first n nodes form a clique
     for u in range(n):
         for v in range(u + 1, n):
-            assert gp.has_edge(u, v)
+            assert has_edge(gp, u, v)
     # subset nodes never touch each other
     for i in range(n, gp.n):
         assert all(int(x) < n for x in gp.neighbors(i))
@@ -78,7 +86,7 @@ def test_reduction_structure():
     # adjacency encodes exactly non-domination
     masks = [{v} | set(int(x) for x in g.neighbors(v)) for v in range(n)]
     for i in range(n, gp.n):
-        subset = inst.node_label(i)
+        subset = node_label(inst, i)
         dominated = set()
         for v in subset:
             dominated |= masks[v]
@@ -89,8 +97,8 @@ def test_reduction_structure():
 def test_reduction_colex_numbering():
     inst = build_diameter_instance(build_graph(4, []), 2)
     assert inst.subsets == ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
-    assert inst.node_label(4) == (0, 1)
-    assert inst.node_label(0) == 0
+    assert node_label(inst, 4) == (0, 1)
+    assert node_label(inst, 0) == 0
 
 
 def test_reduction_mixed_distances_bounded():
