@@ -357,13 +357,9 @@ def _cmd_gen(args) -> int:
 def _build_parser() -> _Parser:
     """The argument parser, built once per process; parsing never changes
     it, so concurrent main calls may share it."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
                         help="base seed for randomized estimators")
-    common.add_argument("--threads", type=int, default=1,
-                        help="bench worker threads (0 = auto)")
-    common.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_DEFAULT,
-                        help="largest n for which bench computes the exact diameter")
 
     graph_in = argparse.ArgumentParser(add_help=False)
     graph_in.add_argument("--input", required=True, help="graph file (edge list or DIMACS)")
@@ -390,16 +386,16 @@ def _build_parser() -> _Parser:
                      description="graph diameter estimation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_est = sub.add_parser("estimate", parents=[common, graph_in, tuning],
+    p_est = sub.add_parser("estimate", parents=[seeded, graph_in, tuning],
                            help="run one estimator on a graph file")
     p_est.add_argument("--method", required=True, choices=METHODS)
     p_est.set_defaults(func=_cmd_estimate)
 
-    p_exact = sub.add_parser("exact", parents=[common, graph_in],
+    p_exact = sub.add_parser("exact", parents=[graph_in],
                              help="exact diameter with witness pair")
     p_exact.set_defaults(func=_cmd_exact)
 
-    p_bench = sub.add_parser("bench", parents=[common, tuning],
+    p_bench = sub.add_parser("bench", parents=[seeded, tuning],
                              help="run estimators over a corpus, emit CSV")
     p_bench.add_argument("--corpus", required=True, help="corpus spec file")
     p_bench.add_argument("--methods", required=True,
@@ -407,10 +403,13 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--reps", type=_positive_int, default=1,
                          help="runs per method and instance (>= 1)")
     p_bench.add_argument("--output", default="-", help="CSV path ('-' = stdout)")
+    p_bench.add_argument("--threads", type=int, default=1,
+                         help="bench worker threads (0 = auto)")
+    p_bench.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_DEFAULT,
+                         help="largest n for which bench computes the exact diameter")
     p_bench.set_defaults(func=_cmd_bench)
 
-    p_red = sub.add_parser("reduce", parents=[common],
-                           help="build a 2-vs-3 diameter instance")
+    p_red = sub.add_parser("reduce", help="build a 2-vs-3 diameter instance")
     p_red.add_argument("--input", required=True, help="undirected graph file")
     p_red.add_argument("--k", type=int, required=True, help="subset size")
     p_red.add_argument("--out", required=True,
@@ -418,7 +417,7 @@ def _build_parser() -> _Parser:
     p_red.add_argument("--node-cap", type=int, default=NODE_CAP_DEFAULT)
     p_red.set_defaults(func=_cmd_reduce)
 
-    p_gen = sub.add_parser("gen", parents=[common],
+    p_gen = sub.add_parser("gen", parents=[seeded],
                            help="generate a corpus graph")
     p_gen.add_argument("--family", required=True)
     p_gen.add_argument("--n", type=int, required=True)

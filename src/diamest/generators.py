@@ -101,6 +101,8 @@ def generate(spec: GenSpec) -> Graph:
         raise ValueError(f"unknown family {spec.family!r}")
     if spec.n < 1:
         raise ValueError("n must be >= 1")
+    if spec.m is not None and spec.m < 0:
+        raise ValueError(f"m must be >= 0, got {spec.m}")
     rng = _rng(spec)
     n = spec.n
     fam = spec.family

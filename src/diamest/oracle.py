@@ -39,11 +39,10 @@ def exact_diameter(g: Graph) -> ExactResult:
     if g.n == 0:
         raise ValueError("exact_diameter requires at least one vertex")
     sources = np.arange(g.n, dtype=np.int64)
-    ecc, reached = batch_search_stats(g, sources, OUT)
+    ecc, spans = batch_search_stats(g, sources, OUT)
     ecc = ecc.copy()
     ecc.setflags(write=False)
-    finite = bool((reached == g.n).all())
-    if not finite:
+    if not spans.all():
         return ExactResult(DiameterStatus(False), None, ecc)
     d = int(ecc.max())
     a = int(np.argmax(ecc))  # first maximum = smallest source id

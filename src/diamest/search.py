@@ -18,14 +18,15 @@ _UNITS constants) set the exchange rate:
   they run scipy's Dijkstra over chunks of sources with a distance limit
   that doubles until each row reaches s vertices, then take each row's
   first s in (distance, id) order in one vectorized pass.
-- Depths and reach counts of many sources (``batch_search_stats``) run
-  one bit-parallel multi-source BFS that advances 64 sources per machine
-  word on unweighted graphs, unless a probe of the depth shows that one C
-  search per source costs less; then, and on weighted graphs, they run
-  the same chunked scipy Dijkstra without a limit.  Its bitsets are
-  vertex-major, W words per row, and a level whose frontier is large
-  pulls over in-arcs laid out as ELL slices over rows sorted by
-  descending in-degree, plus a CSR tail for the arcs no slice takes.
+- Depths of many sources, and whether each tree spans the graph
+  (``batch_search_stats``), run one bit-parallel multi-source BFS that
+  advances 64 sources per machine word on unweighted graphs, unless a
+  probe of the depth shows that one C search per source costs less; then,
+  and on weighted graphs, they run the same chunked scipy Dijkstra
+  without a limit.  Its bitsets are vertex-major, W words per row, and a
+  level whose frontier is large pulls over in-arcs laid out as ELL slices
+  over rows sorted by descending in-degree, plus a CSR tail for the arcs
+  no slice takes.
 
 Searches never mutate the graph; each owns its private arrays, so any
 number may run concurrently over one shared Graph.
@@ -505,7 +506,8 @@ def _pull_plan(h: Graph, words: int) -> _Pull:
 
 
 def _msbfs_stats(h: Graph, sources: np.ndarray):
-    """Depth and reach count of every source's BFS tree in ``h``, 64 per word.
+    """Depth of every source's BFS tree in ``h``, and whether it holds every
+    vertex, 64 sources per word.
 
     All sources of a chunk advance together, one bit each in W words per
     vertex (multi-source BFS, Then et al., VLDB 2015); the bitsets are
@@ -517,11 +519,12 @@ def _msbfs_stats(h: Graph, sources: np.ndarray):
     does.  A level thus costs O(min(f, arcs * W)) for f the out-arcs of its
     nonzero entries, so a deep graph pays for what each source reaches,
     not for every arc on every level.  A source's depth is the last level
-    whose frontier holds its bit.
+    whose frontier holds its bit; its tree spans ``h`` when no row of the
+    unseen set keeps that bit at the end.
     """
     n, k, arcs = h.n, sources.size, h.arc_count
     depths = np.empty(k, dtype=np.int64)
-    reached = np.empty(k, dtype=np.int64)
+    spans = np.empty(k, dtype=bool)
     fan = np.diff(h.indptr)
     least = int(fan.min()) if n else 0  # smallest out-degree
     chunk = _msbfs_chunk(h)
@@ -536,8 +539,7 @@ def _msbfs_stats(h: Graph, sources: np.ndarray):
         front = np.zeros((n, words), dtype=np.uint64)
         np.bitwise_or.at(front, (plan.row(part), bit >> 6),
                          np.uint64(1) << (bit & 63).astype(np.uint64))
-        # complement of the seen set: it masks each new frontier, and the
-        # bits it keeps at the end count the vertices a source never reached
+        # complement of the seen set: it masks each new frontier
         unseen = ~front
         flat = unseen.reshape(-1)
         # a pull writes the next frontier into ``pulled`` and gathers each
@@ -621,30 +623,23 @@ def _msbfs_stats(h: Graph, sources: np.ndarray):
                 if not alive.any():
                     break
             level += 1
-        # bit j of word j >> 6 is source j; unpack a few rows at a time and
-        # sum each step in uint16, which holds the counts of 2^16 - 1 rows
-        missed = np.zeros(part.size, dtype=np.int64)
-        step = min(max(1, _WORD_BUDGET // (8 * words)), (1 << 16) - 1)
-        raw = unseen.astype("<u8", copy=False).view(np.uint8)
-        for r in range(0, n, step):
-            bits = np.unpackbits(raw[r:r + step], axis=1, count=part.size,
-                                 bitorder="little")
-            missed += bits.sum(axis=0, dtype=np.uint16)
-        reached[lo:lo + part.size] = n - missed
-    return depths, reached
+        missed = _or_rows(unseen).astype("<u8", copy=False).view(np.uint8)
+        spans[lo:lo + part.size] = np.unpackbits(
+            missed, count=part.size, bitorder="little") == 0
+    return depths, spans
 
 
 def _dijkstra_stats(h: Graph, sources: np.ndarray):
-    """Depth and reach count of every source's search tree in ``h``, one
-    scipy search per source over chunks of sources."""
+    """Depth of every source's search tree in ``h``, and whether it holds
+    every vertex, one scipy search per source over chunks of sources."""
     depths = np.empty(sources.size, dtype=np.int64)
-    reached = np.empty(sources.size, dtype=np.int64)
+    spans = np.empty(sources.size, dtype=bool)
     for lo, d in _dijkstra_blocks(h, sources, h.n):
         finite = np.isfinite(d)
-        reached[lo:lo + len(d)] = finite.sum(axis=1)
+        spans[lo:lo + len(d)] = finite.all(axis=1)
         d[~finite] = -1.0
         depths[lo:lo + len(d)] = d.max(axis=1)
-    return depths, reached
+    return depths, spans
 
 
 # In visits of scipy's C search, one search per source costs about
@@ -677,15 +672,16 @@ def _per_source_wins(h: Graph, sources: np.ndarray) -> bool:
 
 
 def batch_search_stats(g: Graph, sources, direction: str = OUT):
-    """Depths and reach counts for many sources at once.
+    """Depths of many sources at once, and whether each tree spans.
 
     Unweighted graphs run one bit-parallel multi-source BFS over chunks of
     sources, unless the graph is deep enough that one scipy search per
     source costs less; weighted graphs always run scipy's Dijkstra over
     chunks of sources, sized to bound memory.  Depth is the largest finite
-    distance from (OUT) or to (IN) the source; reach counts the source
-    itself.  Returns (depths, reached) int64 arrays aligned with
-    ``sources``, which may be unsorted and hold duplicates.
+    distance from (OUT) or to (IN) the source.  Returns (depths, spans)
+    aligned with ``sources``, which may be unsorted and hold duplicates:
+    int64 depths, and bools that are True where the source's tree holds
+    every vertex.
     """
     h = _oriented(g, direction)
     sources = _checked_sources(sources, g.n)

@@ -1,6 +1,7 @@
 """cli module: subcommands, exit codes, output determinism, CSV schema."""
 import csv
 import io
+import re
 
 import pytest
 
@@ -84,6 +85,14 @@ def test_exact_subcommand(capsys, p10_file):
     assert "value=9" in out and "eccentricity_max=9" in out
 
 
+def test_exact_infinite_diameter_exit_2(capsys, tmp_path):
+    path = tmp_path / "disc.edges"
+    path.write_text("4 1\n0 1\n")  # vertices 2,3 isolated
+    code, out, err = _run(capsys, ["exact", "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: graph has infinite diameter\n"
+
+
 def test_exact_empty_graph_exit_1(capsys, tmp_path):
     path = tmp_path / "empty.edges"
     path.write_text("0 0\n")
@@ -154,6 +163,10 @@ def test_huge_vertex_count_exit_1(capsys, tmp_path):
      "cannot write {d}/nodir/x.edges"),
     (["reduce", "--input", "{p10}", "--k", "1", "--out", "{d}/nodir/x"],
      "cannot write {d}/nodir/x.meta"),
+    (["gen", "--family", "gnm", "--n", "5", "--m", "-1"],
+     "m must be >= 0, got -1"),
+    (["gen", "--family", "bounded_degree", "--n", "5", "--max-degree", "3",
+      "--m", "-3"], "m must be >= 0, got -3"),
     (["estimate", "--input", "{latin1}", "--method", "exact"],
      "cannot read {latin1}"),
     (["exact", "--input", "{latin1}"], "cannot read {latin1}"),
@@ -162,7 +175,8 @@ def test_huge_vertex_count_exit_1(capsys, tmp_path):
     (["estimate", "--input", "{p10}", "--method", "rv", "--sample-const",
       "1e400"], "infinity"),
 ], ids=["bench-missing-corpus", "bench-corpus-not-utf8", "gen-out-no-dir",
-        "reduce-out-no-dir", "estimate-not-utf8", "exact-not-utf8",
+        "reduce-out-no-dir", "gen-negative-m", "bounded-degree-negative-m",
+        "estimate-not-utf8", "exact-not-utf8",
         "sparse-infinite-delta", "rv-infinite-sample-const"])
 def test_input_errors_exit_1_with_message(capsys, tmp_path, p10_file, argv,
                                           message):
@@ -195,6 +209,36 @@ def test_bench_reps_below_1_is_usage_error(capsys, tmp_path, reps):
     assert code == 1 and out == ""
     assert f"argument --reps: must be >= 1, got {reps}" in err
     assert "Traceback" not in err
+
+
+def test_each_subcommand_takes_only_its_flags(capsys, tmp_path, p10_file):
+    flags = {}
+    for command in ("estimate", "exact", "bench", "reduce", "gen"):
+        code, out, _ = _run(capsys, [command, "--help"])
+        assert code == 0
+        flags[command] = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+        flags[command].discard("--help")
+    graph_in = {"--input", "--directed", "--weight-scale"}
+    tuning = {"--s", "--delta", "--htilde", "--epsilon", "--sample-const"}
+    assert flags == {
+        "estimate": graph_in | tuning | {"--seed", "--method"},
+        "exact": graph_in,
+        "bench": tuning | {"--seed", "--corpus", "--methods", "--reps",
+                           "--output", "--threads", "--oracle-cap"},
+        "reduce": {"--input", "--k", "--out", "--node-cap"},
+        "gen": {"--seed", "--family", "--n", "--m", "--p", "--max-degree",
+                "--weights", "--directed", "--clique", "--path-len", "--out"},
+    }
+    assert sum(map(len, flags.values())) == 40
+    for argv, flag in ((["exact", "--input", p10_file, "--threads", "2"],
+                        "--threads"),
+                       (["reduce", "--input", p10_file, "--k", "1", "--out",
+                         str(tmp_path / "x"), "--seed", "1"], "--seed")):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: diamest ")
+        assert f"unrecognized arguments: {flag}" in err
+    assert not (tmp_path / "x.meta").exists()
 
 
 def test_parser_survives_usage_errors(capsys, p10_file):
@@ -398,6 +442,19 @@ def test_bench_weighted_and_disconnected_instances(capsys, tmp_path):
     broken_rows = [r for r in rows if r["instance"] == "disc"]
     assert all(r["estimate"] == "" for r in broken_rows)
     assert "infinite" in err
+
+
+def test_bench_unknown_method_or_unwritable_output_exit_1(capsys, tmp_path,
+                                                          corpus_file):
+    for extra, message in (
+            (["--methods", "two-approx,bogus"], "error: unknown method 'bogus'"),
+            (["--methods", "two-approx", "--output",
+              str(tmp_path / "nodir" / "b.csv")],
+             f"cannot write {tmp_path / 'nodir' / 'b.csv'}: ")):
+        code, out, err = _run(capsys, ["bench", "--corpus", corpus_file]
+                              + extra)
+        assert (code, out) == (1, "")
+        assert err.startswith(message) and "Traceback" not in err
 
 
 def test_load_corpus_errors(tmp_path):

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diamest import (IN, OUT, GenSpec, GraphError, InfiniteDiameterError,
-                     aingworth, build_graph, dense_estimate, exact_diameter,
-                     four_fifths_estimate, generate, recompute_witness,
-                     sampled_estimate, sampled_estimate_weighted,
-                     sampling_estimate, sparse_driver, sparse_estimate,
-                     two_approx)
+from diamest import (IN, OUT, Estimate, GenSpec, GraphError,
+                     InfiniteDiameterError, Witness, aingworth, build_graph,
+                     dense_estimate, exact_diameter, four_fifths_estimate,
+                     generate, recompute_witness, sampled_estimate,
+                     sampled_estimate_weighted, sampling_estimate,
+                     sparse_driver, sparse_estimate, two_approx)
 from diamest.estimators import _greedy_hitting_set, _near_sets_all
 from helpers import (complete_graph, cycle_graph, decompose,
                      dense_pairs_reference, fw_apsp,
@@ -237,6 +237,23 @@ def test_sampled_path_bounds_and_reruns_counted():
         assert est.reruns >= 0
 
 
+def test_sampled_reruns_when_the_sample_misses_the_near_set():
+    # a sample of one vertex of a star often misses the pivot's 3 closest
+    # vertices; each such miss must resample, not return
+    g = star_graph(8)
+    d = exact_diameter(g).diameter.value
+    h, z = decompose(d)
+    reruns = []
+    for seed in range(8):
+        est = sampled_estimate(g, s=3, seed=seed, sample_const=1e-3)
+        assert est.param("sample_size") == 1
+        assert est.value == d
+        assert est.value >= 2 * h + (z if z in (0, 1) else 1)
+        assert est.value >= (2 * d) // 3
+        reruns.append(est.reruns)
+    assert max(reruns) >= 1
+
+
 def test_sampled_floor_random():
     rng = np.random.default_rng(107)
     for i, g in enumerate(_sweep_graphs(rng, 300, n_hi=80)):
@@ -352,6 +369,17 @@ def test_dense_pair_certificate_strictly_improves():
     assert est.value == 5
     assert est.witness.kind == "pair" and est.witness.pair == (7, 6)
     assert recompute_witness(g, est) == 5
+
+
+def test_recompute_witness_rejects_forged_pairs():
+    # on a path of 6 at s = 3, the out-tree of 0 is {0, 1}; the in-tree of
+    # 1 is {1}, which it holds, and that of 2 is {2}, one edge away
+    g = path_graph(6)
+    for v, message in ((1, "trees intersect"), (2, "edge between trees")):
+        forged = Estimate(5, "dense", Witness("pair", pair=(0, v)),
+                          params=(("s", 3),))
+        with pytest.raises(ValueError, match=f"^scan pair invalid: {message}$"):
+            recompute_witness(g, forged)
 
 
 def test_dense_builds_bitsets_only_for_survivors(monkeypatch):
@@ -560,6 +588,15 @@ def test_four_fifths_rejects_directed_and_weighted():
         four_fifths_estimate(build_graph(2, [(0, 1)], directed=True))
     with pytest.raises(GraphError):
         four_fifths_estimate(build_graph(2, [(0, 1, 2)]))
+
+
+def test_four_fifths_rejects_other_error_bounds():
+    from diamest import exact_apsp
+
+    with pytest.raises(ValueError, match="^additive error bound must be 0 or"
+                                         " 2, got 1$"):
+        four_fifths_estimate(path_graph(6),
+                             distance_oracle=lambda g: (exact_apsp(g), 1))
 
 
 def test_four_fifths_degraded_oracle():

@@ -100,6 +100,16 @@ def test_parameter_validation():
         generate(GenSpec("gnm", 0, m=0))
 
 
+def test_negative_m_is_rejected():
+    # gnm used to treat m = -1 as 0, and bounded_degree -3 as no extra edge
+    for spec in (GenSpec("gnm", 5, m=-1), GenSpec("gnm", 5, m=-1, directed=True),
+                 GenSpec("bounded_degree", 5, m=-3, max_degree=3),
+                 GenSpec("path", 5, m=-2)):
+        with pytest.raises(ValueError, match=f"^m must be >= 0, got {spec.m}$"):
+            generate(spec)
+    assert finite_diameter_check(generate(GenSpec("gnm", 5, m=0)))
+
+
 def test_small_n_edge_cases():
     assert _diam(generate(GenSpec("path", 1))) == 0
     assert _diam(generate(GenSpec("cycle", 1))) == 0

@@ -238,10 +238,11 @@ def test_unweighted_full_search_runs_no_dijkstra(monkeypatch):
 
 def _check_batch_stats(g, sources):
     for direction in (OUT, IN):
-        depths, reached = search_module.batch_search_stats(g, sources, direction)
+        depths, spans = search_module.batch_search_stats(g, sources, direction)
         rows = _rows(g, direction)[sources]
         finite = np.isfinite(rows)
-        assert np.array_equal(reached, finite.sum(axis=1))
+        assert spans.dtype == bool
+        assert np.array_equal(spans, finite.all(axis=1))
         assert np.array_equal(depths, np.where(finite, rows, -1).max(axis=1))
 
 
@@ -259,6 +260,18 @@ def test_bit_parallel_depths_match_floyd_warshall(g, data):
                    PER_SOURCE):
         with caps(**values):
             _check_batch_stats(g, sources)
+
+
+def test_bit_parallel_push_level_then_pull_level():
+    # a star of 8 entered from leaves, alone and beside an isolated vertex:
+    # at a push price of 3 the leaves' out-arcs (1 each) push, the
+    # centre's 7 pull, so a pull reads the frontier a push left behind
+    star = build_graph(8, [(0, v) for v in range(1, 8)])
+    lonely = build_graph(9, [(0, v) for v in range(1, 8)])
+    for g in (star, lonely):
+        for sources in ([1], [1, 5], [3, 3, 6]):
+            with caps(**MSBFS, _PUSH_COST=3, _PUSH_START=0):
+                _check_batch_stats(g, np.array(sources))
 
 
 @PROPERTY

@@ -219,20 +219,20 @@ def test_triangle_inequality_against_oracle():
 
 def _check_batch(g, sources):
     for direction in (OUT, IN):
-        depths, reached = batch_search_stats(g, sources, direction)
-        assert depths.shape == reached.shape == (len(sources),)
+        depths, spans = batch_search_stats(g, sources, direction)
+        assert depths.shape == spans.shape == (len(sources),)
         for j, v in enumerate(sources):
             t = search(g, int(v), direction)
             assert depths[j] == t.depth
-            assert reached[j] == t.reached
+            assert spans[j] == (t.reached == g.n)
 
 
 def test_batch_depths_matches_search(monkeypatch):
     # a huge per-source price keeps every unweighted batch on the
     # multi-source BFS and a huge level price runs one scipy search per
-    # source; a word budget of 1 splits every batch into 64-source chunks
-    # and unpacks the bitsets one vertex at a time; push costs of 0 make
-    # every level push from the frontier, a huge one makes every level pull.
+    # source; a word budget of 1 splits every batch into 64-source chunks;
+    # push costs of 0 make every level push from the frontier, a huge one
+    # makes every level pull.
     # A pull takes every in-arc in a slice at a slice size of 1, slices and
     # a reduceat tail at 2 (the highest in-degree alone is never a slice),
     # and no slice, on the vertex ids, at a huge one
@@ -262,7 +262,7 @@ def _check_batch_inputs():
         _check_batch(g, sources)
         assert np.array_equal(batch_depths(g, sources, OUT),
                               batch_search_stats(g, sources, OUT)[0])
-    # sparse directed graph: empty in-rows, reach counts below n;
+    # sparse directed graph: empty in-rows, trees that miss vertices;
     # unsorted sources with duplicates around the 64-bit word edges
     g = random_graph(rng, 150, 150, directed=True)
     assert (np.diff(g.reverse().indptr) == 0).any()
@@ -299,9 +299,9 @@ def _check_batch_inputs():
         g = random_graph(np.random.default_rng(3), 20, 40,
                          weight_hi=5 if weighted else 0)
         for direction in (OUT, IN):
-            depths, reached = batch_search_stats(g, [], direction)
-            assert depths.dtype == reached.dtype == np.int64
-            assert depths.size == reached.size == 0
+            depths, spans = batch_search_stats(g, [], direction)
+            assert depths.dtype == np.int64 and spans.dtype == bool
+            assert depths.size == spans.size == 0
         for bad, first in (([-1], -1), ([20], 20), ([3, 25, -1], 25)):
             with pytest.raises(ValueError,
                                match=f"^source {first} out of range for n=20$"):
