@@ -8,8 +8,8 @@ _UNITS constants) set the exchange rate:
 - A full search (``search``, ``nearest_in_set``) is one scipy BFS on
   unweighted graphs, from an extra vertex whose arcs point at the sources
   when there are several; pointer jumping over the BFS tree gives the
-  distances and one sort the (distance, id) order of the reached
-  vertices.  Weighted graphs run scipy's Dijkstra, exact because
+  distances, and for ``search`` one sort the (distance, id) order of the
+  reached vertices.  Weighted graphs run scipy's Dijkstra, exact because
   build_graph keeps every path length within 2^53.
 - Near sets, the s closest vertices of each of many sources
   (``near_sets``, ``nearest_s``), run one batched truncated BFS on
@@ -44,9 +44,6 @@ from .graph import Graph, InfiniteDiameterError, UNREACHED
 
 OUT = "out"
 IN = "in"
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
 
 @dataclass(frozen=True, eq=False)
 class SearchTree:
@@ -98,16 +95,31 @@ def _oriented(g: Graph, direction: str) -> Graph:
     return g if direction == OUT else g.reverse()
 
 
+# Memory policy of every batched search: a chunk of sources, a run of
+# gathered arcs or a block of distances keeps its largest array within
+# _CHUNK_BYTES, taking as many units (sources, arcs, words) as fit.
+_CHUNK_BYTES = 1 << 22
+
+
+def _per_chunk(unit_bytes):
+    """Units of ``unit_bytes`` bytes each that one chunk takes, at least
+    one; a unit of 0 bytes (a row of the empty graph) counts as 1."""
+    return max(1, _CHUNK_BYTES // max(1, unit_bytes))
+
+
+def _runs(starts, counts):
+    """Positions starts[i], ..., starts[i] + counts[i] - 1 for every i in
+    turn: the entries of a gather of CSR rows."""
+    ends = np.cumsum(counts)
+    return (np.repeat(starts + counts - ends, counts)
+            + np.arange(ends[-1] if ends.size else 0))
+
+
 def _gather(indptr, indices, frontier):
     """Concatenated adjacency rows of the frontier vertices."""
     starts = indptr[frontier]
     counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return _EMPTY, counts
-    base = np.repeat(starts, counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    return indices[base + within], counts
+    return indices[_runs(starts, counts)], counts
 
 
 def _unique(a):
@@ -118,22 +130,16 @@ def _unique(a):
     return a[np.diff(a, prepend=-1) != 0]
 
 
-# Size caps of one batch of truncated searches: a chunk of k sources keeps
-# a seen bitmap of k * n bools, k = _SEEN_BUDGET // n, and a level gathers
-# the out-arcs of its frontier in runs of whole rows of about _ARC_BUDGET
-# arcs, so a hub that every row reaches costs at most one run at a time.
-_SEEN_BUDGET = 1 << 22
-_ARC_BUDGET = 1 << 16
-
-
 def _row_runs(rows, fan):
     """Bounds of runs of whole rows of the row-sorted frontier, each run
-    gathering about _ARC_BUDGET arcs (one row may gather more alone)."""
-    ends = np.cumsum(fan)
-    if ends[-1] <= _ARC_BUDGET:
+    gathering about as many arcs as a chunk takes at 64 bytes of
+    temporaries per arc (one row may gather more alone), so a hub that
+    every row reaches costs at most one run at a time."""
+    ends, arcs = np.cumsum(fan), _per_chunk(64)
+    if ends[-1] <= arcs:
         return [0, rows.size]
     first = np.flatnonzero(np.diff(rows, prepend=-1))
-    run = (ends - fan)[first] // _ARC_BUDGET
+    run = (ends - fan)[first] // arcs
     return [*first[np.diff(run, prepend=-1) != 0].tolist(), rows.size]
 
 
@@ -150,7 +156,7 @@ def _near_bfs(indptr, indices, n, sources, s, members, dists):
     if s == 1:
         return
     fan = np.diff(indptr)
-    k = max(1, _SEEN_BUDGET // n)
+    k = _per_chunk(n)  # a seen map of n bools per source
     for lo in range(0, sources.size, k):
         front = sources[lo:lo + k]
         rows = np.arange(front.size, dtype=np.int64)
@@ -229,27 +235,21 @@ def _bfs_tree(h: Graph, sources: np.ndarray):
 
 
 def _search_from(h: Graph, sources: np.ndarray):
-    """(dist, order) of one full search of ``h`` from the sorted, distinct
-    ``sources``: one scipy BFS on unweighted graphs, scipy's Dijkstra on
-    weighted ones, exact because build_graph keeps every path length
-    within 2^53."""
+    """(dist, reached) of one full search of ``h`` from the sorted,
+    distinct ``sources``: one scipy BFS on unweighted graphs, which lists
+    the reached vertices in BFS order, and scipy's Dijkstra on weighted
+    ones, which lists them by id, exact because build_graph keeps every
+    path length within 2^53."""
     dist = np.full(h.n, UNREACHED, dtype=np.int64)
     if not h.weighted:
         reached, d = _bfs_tree(h, sources)
         dist[reached] = d
-        # d * n + v < n^2, which build_graph keeps within int64
-        return dist, np.sort(d * h.n + reached) % h.n
+        return dist, reached
     d = _scipy_dijkstra(h.scipy_matrix(), directed=True, indices=sources,
                         min_only=True)
     reached = np.flatnonzero(np.isfinite(d))
     dist[reached] = d[reached]
-    # reached ids ascend, so a stable sort by distance breaks ties by id
-    return dist, reached[np.argsort(dist[reached], kind="stable")]
-
-
-# Size cap, in float64 entries, of one block of scipy Dijkstra distances;
-# 2^20 ran as fast as 2^23 at n = 4096 with a sixth of the peak memory.
-_DIJKSTRA_BUDGET = 1 << 20
+    return dist, reached
 
 
 def _dijkstra_blocks(h: Graph, sources: np.ndarray, s: int):
@@ -270,7 +270,7 @@ def _dijkstra_blocks(h: Graph, sources: np.ndarray, s: int):
         return _scipy_dijkstra(mat, directed=True, indices=indices,
                                limit=r if r < top else np.inf)
 
-    chunk = max(1, _DIJKSTRA_BUDGET // h.n)
+    chunk = _per_chunk(8 * h.n)  # a float64 row per source
     for lo in range(0, sources.size, chunk):
         part = sources[lo:lo + chunk]
         r = w if s < h.n else top
@@ -345,8 +345,14 @@ def search(g: Graph, v: int, direction: str = OUT) -> SearchTree:
     """Exact single-source distances from/to ``v`` (BFS or Dijkstra)."""
     if not (0 <= v < g.n):
         raise ValueError(f"source {v} out of range for n={g.n}")
-    dist, order = _search_from(_oriented(g, direction),
-                               np.array([v], dtype=np.int64))
+    dist, reached = _search_from(_oriented(g, direction),
+                                 np.array([v], dtype=np.int64))
+    if g.weighted:
+        # reached ids ascend, so a stable sort by distance breaks ties by id
+        order = reached[np.argsort(dist[reached], kind="stable")]
+    else:
+        # d * n + v < n^2, which build_graph keeps within int64
+        order = np.sort(dist[reached] * g.n + reached) % g.n
     dist.setflags(write=False)
     order.setflags(write=False)
     return SearchTree(v, direction, dist, order)
@@ -401,15 +407,10 @@ def nearest_high_degree(g: Graph, degree: int) -> np.ndarray:
 
 # ---- bulk depth queries ----------------------------------------------------
 
-# Size cap, in uint64 words, of each temporary of one multi-source BFS chunk:
-# a chunk of 64*W sources keeps W words per vertex and per arc, so W is
-# chosen to keep max(n, arcs) * W under the cap, at any n.
-_WORD_BUDGET = 1 << 17
-
-
 def _msbfs_chunk(h: Graph) -> int:
-    """Sources per chunk of _msbfs_stats in ``h``: 64 * W."""
-    return 64 * max(1, _WORD_BUDGET // max(h.n, h.arc_count))
+    """Sources per chunk of _msbfs_stats in ``h``: 64 * W, a chunk keeping
+    a uint64 word per vertex and per arc for each of its W words."""
+    return 64 * _per_chunk(8 * max(h.n, h.arc_count))
 
 # A level pushes from its frontier when that is cheaper than pulling into
 # every vertex: a pushed arc word costs about _PUSH_COST pulled ones, and a
@@ -499,10 +500,8 @@ def _pull_plan(h: Graph, words: int) -> _Pull:
     # the c rows of in-degree above cut keep their in-arcs from cut on
     c = int(above[cut])
     extra = deg[:c] - cut
-    ends = np.cumsum(extra)
-    at = (np.repeat(first[:c] + cut - ends + extra, extra)
-          + np.arange(ends[-1] if c else 0))
-    return _Pull(order, rank, slices, slice(0, c), nbr[at], ends - extra)
+    return _Pull(order, rank, slices, slice(0, c),
+                 nbr[_runs(first[:c] + cut, extra)], np.cumsum(extra) - extra)
 
 
 def _msbfs_stats(h: Graph, sources: np.ndarray):
@@ -573,10 +572,7 @@ def _msbfs_stats(h: Graph, sources: np.ndarray):
                     word = key // n
                     vertex = plan.vertex(key - word * n)
                     cnt = fan[vertex]
-                end = np.cumsum(cnt)
-                at = (np.repeat(h.indptr[vertex] + cnt - end, cnt)
-                      + np.arange(end[-1]))
-                row = plan.row(h.indices[at])
+                row = plan.row(h.indices[_runs(h.indptr[vertex], cnt)])
                 word = np.repeat(word, cnt)
                 key = word * n + row
                 entry = row * words + word

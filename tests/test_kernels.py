@@ -79,12 +79,12 @@ def _near_reference(g, sources, s, direction):
 
 def _check_near_sets(g, s, sources):
     """near_sets against the reference for every chunk size that matters:
-    the default, one source per chunk, n - 1 per chunk, one row per run of
-    gathered arcs, and one and two sources per Dijkstra chunk."""
+    the default, one source per chunk, n - 1 per chunk, two per chunk,
+    runs of one gathered arc, and one and two sources per Dijkstra chunk."""
     n = g.n
-    chunkings = [{}, dict(_SEEN_BUDGET=n), dict(_SEEN_BUDGET=n * max(1, n - 1)),
-                 dict(_SEEN_BUDGET=2 * n, _ARC_BUDGET=1),
-                 dict(_DIJKSTRA_BUDGET=n), dict(_DIJKSTRA_BUDGET=2 * n)]
+    chunkings = [{}, dict(_CHUNK_BYTES=n), dict(_CHUNK_BYTES=n * max(1, n - 1)),
+                 dict(_CHUNK_BYTES=2 * n), dict(_CHUNK_BYTES=8),
+                 dict(_CHUNK_BYTES=8 * n), dict(_CHUNK_BYTES=16 * n)]
     for direction in (OUT, IN):
         want = _near_reference(g, sources, s, direction)
         for values in chunkings:
@@ -201,17 +201,20 @@ def test_near_sets_validate_their_arguments():
 
 def _check_bfs(g, sources):
     """The full search from the sorted, distinct ``sources``: distances and
-    the (distance, id) order of the reached vertices, out of and into the
-    sources."""
+    the reached vertices, out of and into the sources; and the (distance,
+    id) order of search() from the first source."""
     for direction in (OUT, IN):
         h = search_module._oriented(g, direction)
-        ref = _rows(g, direction)[sources].min(axis=0)
+        rows = _rows(g, direction)
+        ref = rows[sources].min(axis=0)
         order = _order(ref)
         want = np.full(g.n, UNREACHED, dtype=np.int64)
         want[order] = ref[order]
         dist, got = search_module._search_from(h, sources)
-        assert np.array_equal(got, order)
+        assert np.array_equal(np.sort(got), np.sort(order))
         assert np.array_equal(dist, want)
+        tree = search(g, int(sources[0]), direction)
+        assert np.array_equal(tree.order, _order(rows[sources[0]]))
 
 
 @PROPERTY
@@ -254,8 +257,8 @@ def test_bit_parallel_depths_match_floyd_warshall(g, data):
     # the multi-source BFS as tuned, in one 64-source chunk pushing every
     # level and pulling every level; then one scipy search per source
     for values in (MSBFS,
-                   dict(MSBFS, _WORD_BUDGET=1, _PUSH_COST=0, _PUSH_START=0),
-                   dict(MSBFS, _WORD_BUDGET=1, _PUSH_COST=1 << 62,
+                   dict(MSBFS, _CHUNK_BYTES=1, _PUSH_COST=0, _PUSH_START=0),
+                   dict(MSBFS, _CHUNK_BYTES=1, _PUSH_COST=1 << 62,
                         _PUSH_START=0),
                    PER_SOURCE):
         with caps(**values):
@@ -280,8 +283,8 @@ def test_chunked_dijkstra_depths_match_floyd_warshall(g, data):
     sources = np.asarray(data.draw(st.lists(st.integers(0, g.n - 1), min_size=1,
                                             max_size=3 * g.n)), dtype=np.int64)
     # one source per chunk, two per chunk, all in one
-    for budget in (1, 2 * g.n, search_module._DIJKSTRA_BUDGET):
-        with caps(_DIJKSTRA_BUDGET=budget):
+    for budget in (1, 16 * g.n, search_module._CHUNK_BYTES):
+        with caps(_CHUNK_BYTES=budget):
             _check_batch_stats(g, sources)
 
 

@@ -230,7 +230,7 @@ def _check_batch(g, sources):
 def test_batch_depths_matches_search(monkeypatch):
     # a huge per-source price keeps every unweighted batch on the
     # multi-source BFS and a huge level price runs one scipy search per
-    # source; a word budget of 1 splits every batch into 64-source chunks;
+    # source; a chunk of 1 byte splits every batch into 64-source chunks;
     # push costs of 0 make every level push from the frontier, a huge one
     # makes every level pull.
     # A pull takes every in-arc in a slice at a slice size of 1, slices and
@@ -239,11 +239,11 @@ def test_batch_depths_matches_search(monkeypatch):
     msbfs = dict(_SOURCE_UNITS=1 << 62)
     pull = dict(msbfs, _PUSH_COST=1 << 62, _PUSH_START=0)
     for values in (msbfs, dict(msbfs, _PUSH_COST=0, _PUSH_START=0),
-                   dict(msbfs, _WORD_BUDGET=1, _PUSH_COST=0, _PUSH_START=0),
-                   dict(pull, _WORD_BUDGET=1),
+                   dict(msbfs, _CHUNK_BYTES=1, _PUSH_COST=0, _PUSH_START=0),
+                   dict(pull, _CHUNK_BYTES=1),
                    dict(pull, _SLICE_WORDS=1, _RELABEL_PAYS=0),
                    dict(pull, _SLICE_WORDS=2, _RELABEL_PAYS=0),
-                   dict(pull, _WORD_BUDGET=1, _SLICE_WORDS=2, _RELABEL_PAYS=0),
+                   dict(pull, _CHUNK_BYTES=1, _SLICE_WORDS=2, _RELABEL_PAYS=0),
                    dict(pull, _SLICE_WORDS=1 << 62),
                    dict(_MSBFS_LEVEL_UNITS=1 << 62)):
         with monkeypatch.context() as patch:
@@ -295,13 +295,18 @@ def _check_batch_inputs():
             assert np.array_equal(np.tile(a, 1028), b)
 
 
-    for weighted in (False, True):
-        g = random_graph(np.random.default_rng(3), 20, 40,
-                         weight_hi=5 if weighted else 0)
+def test_batch_of_no_sources_and_bad_sources():
+    graphs = [random_graph(np.random.default_rng(3), 20, 40, weight_hi=hi)
+              for hi in (0, 5)]
+    # no sources give empty arrays, on the empty graph too
+    for g in (build_graph(0, []), *graphs):
         for direction in (OUT, IN):
             depths, spans = batch_search_stats(g, [], direction)
             assert depths.dtype == np.int64 and spans.dtype == bool
             assert depths.size == spans.size == 0
+            depths = batch_depths(g, [], direction)
+            assert depths.dtype == np.int64 and depths.size == 0
+    for g in graphs:
         for bad, first in (([-1], -1), ([20], 20), ([3, 25, -1], 25)):
             with pytest.raises(ValueError,
                                match=f"^source {first} out of range for n=20$"):
