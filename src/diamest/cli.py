@@ -181,7 +181,10 @@ def _parse_kv(line: str) -> dict:
 
 def _parse_weights(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"weights must be LO:HI integers, got {text!r}") from None
 
 
 def load_corpus(path: str) -> list[tuple[str, Graph]]:

@@ -83,6 +83,11 @@ def _iceil(x: float) -> int:
     return max(1, math.ceil(x - 1e-9))
 
 
+def _sample_size(x: float, n: int) -> int:
+    """ceil(x), at least 1 and at most n; clamped first, so x = inf is n."""
+    return max(1, math.ceil(min(x, n)))
+
+
 def _require_finite(g: Graph):
     if not finite_diameter_check(g):
         raise InfiniteDiameterError("graph has infinite diameter")
@@ -257,14 +262,14 @@ def aingworth(g: Graph, s: int | None = None) -> Estimate:
                     params=_params(s=s))
 
 
-def _sampled_core(g, s, seed, sample_const, max_reruns, method):
+def _sampled_core(g, s, seed, sample_const, method):
     _require_sample_const(sample_const)
     _require_finite(g)
     n = g.n
     s = _clamp_s(g, s, _iceil(math.sqrt(n)))
-    size = min(n, max(1, math.ceil(sample_const * (n / s) * math.log(n))))
+    size = _sample_size(sample_const * (n / s) * math.log(n), n)
     rng = np.random.default_rng(seed)
-    for rerun in range(max_reruns + 1):
+    for rerun in range(DEFAULT_RERUN_CAP + 1):
         sample = np.sort(rng.choice(n, size=size, replace=False))
         tracker = _Deepest()
         tracker.offer_batch(batch_depths(g, sample, OUT), sample, OUT)
@@ -281,35 +286,34 @@ def _sampled_core(g, s, seed, sample_const, max_reruns, method):
                         _params(s=s, seed=seed, sample_const=sample_const,
                                 sample_size=size))
     raise RestartLimitError(
-        f"hitting-sample verification failed {max_reruns + 1} times")
+        f"hitting-sample verification failed {DEFAULT_RERUN_CAP + 1} times")
 
 
 def sampled_estimate(g: Graph, s: int | None = None, seed: int = 0,
-                     sample_const: float = DEFAULT_SAMPLE_CONST,
-                     max_reruns: int = DEFAULT_RERUN_CAP) -> Estimate:
+                     sample_const: float = DEFAULT_SAMPLE_CONST) -> Estimate:
     """Las Vegas near-set estimator using a random hitting sample.
 
     Replaces the all-vertices near-set computation with a random sample of
-    ceil(sample_const * (n/s) * ln n) vertices and pivots on the vertex
-    farthest from the sample.  Before returning, verifies the sample
-    actually hits the pivot's near set and reruns otherwise, so the
+    ceil(sample_const * (n/s) * ln n) vertices (capped at n) and pivots on
+    the vertex farthest from the sample.  Before returning, verifies the
+    sample actually hits the pivot's near set and reruns otherwise, so the
     returned value satisfies the same floors as :func:`aingworth`
     unconditionally; ``reruns`` records the restarts.
     """
     _require_unweighted(g, "sampled_estimate")
-    return _sampled_core(g, s, seed, sample_const, max_reruns, "rv")
+    return _sampled_core(g, s, seed, sample_const, "rv")
 
 
 def sampled_estimate_weighted(g: Graph, s: int | None = None, seed: int = 0,
-                              sample_const: float = DEFAULT_SAMPLE_CONST,
-                              max_reruns: int = DEFAULT_RERUN_CAP) -> Estimate:
+                              sample_const: float = DEFAULT_SAMPLE_CONST
+                              ) -> Estimate:
     """Weighted variant of :func:`sampled_estimate` (Dijkstra searches).
 
     Identical control flow; unweighted graphs degenerate to the unit-cost
     behavior.  Guarantees floor(2D/3) <= value <= D up to the snap of the
     path split to a vertex, which can cost one edge weight.
     """
-    return _sampled_core(g, s, seed, sample_const, max_reruns, "rv-weighted")
+    return _sampled_core(g, s, seed, sample_const, "rv-weighted")
 
 
 def dense_estimate(g: Graph, s: int | None = None) -> Estimate:
@@ -502,8 +506,8 @@ def sampling_estimate(g: Graph, epsilon: float = DEFAULT_SAMPLING_EPSILON,
     _require_sample_const(sample_const)
     _require_finite(g)
     n = g.n
-    size = min(n, max(1, math.ceil(sample_const * n ** (1 - epsilon)
-                                   * math.log(n) / delta)))
+    size = _sample_size(sample_const * n ** (1 - epsilon) * math.log(n)
+                        / delta, n)
     rng = np.random.default_rng(seed)
     sample = np.sort(rng.choice(n, size=size, replace=False))
     tracker = _Deepest()

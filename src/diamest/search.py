@@ -533,7 +533,6 @@ def _msbfs_stats(h: Graph, sources: np.ndarray):
         words = (part.size + 63) >> 6
         plan = _pull_plan(h, words)
         row_fan = fan if plan.order is None else fan[plan.order]
-        entry_fan = np.repeat(row_fan, words)  # out-arcs of each entry
         bit = np.arange(part.size, dtype=np.int64)
         front = np.zeros((n, words), dtype=np.uint64)
         np.bitwise_or.at(front, (plan.row(part), bit >> 6),
@@ -546,59 +545,48 @@ def _msbfs_stats(h: Graph, sources: np.ndarray):
         pulled, gathered = np.empty_like(front), np.empty_like(front)
         stamp = np.empty(n * words, dtype=np.int64)
         alive = _or_rows(front)
-        # a sparse frontier lists its nonzero entries by key w*n + row, in
-        # ascending word order, so that a push can OR each word's entries
-        # with one reduceat; None: the frontier is dense
-        key = None
+        # a sparse frontier lists its nonzero flat entries in ``entry`` and
+        # their words in ``val``; None: the frontier is dense
+        entry = None
         spare = arcs * words - _PUSH_START  # a pull beyond a push's set-up
         level = 0
         while True:
-            if key is None:
+            if entry is None:
                 # the out-arcs of the nonzero entries, when a lower bound
                 # does not already rule the push out
                 pushing = (spare >= 0 and _PUSH_COST * least * int(
                     np.count_nonzero(front)) <= spare and _PUSH_COST * int(
-                        entry_fan @ (front.reshape(-1) != 0)) <= spare)
-            else:
-                word = key // n
-                vertex = plan.vertex(key - word * n)
-                cnt = fan[vertex]
+                        (row_fan @ (front != 0)).sum()) <= spare)
+                if pushing:
+                    entry = np.flatnonzero(front)
+                    val = front.reshape(-1)[entry]
+            if entry is not None:
+                row, word = np.divmod(entry, words)
+                cnt = row_fan[row]
                 pushing = _PUSH_COST * int(cnt.sum()) <= spare
             if pushing:
-                if key is None:
-                    by_word = front.T.ravel()
-                    key = np.flatnonzero(by_word)
-                    val = by_word[key]
-                    word = key // n
-                    vertex = plan.vertex(key - word * n)
-                    cnt = fan[vertex]
-                row = plan.row(h.indices[_runs(h.indptr[vertex], cnt)])
-                word = np.repeat(word, cnt)
-                key = word * n + row
-                entry = row * words + word
+                nbr = h.indices[_runs(h.indptr[plan.vertex(row)], cnt)]
+                entry = plan.row(nbr) * words + np.repeat(word, cnt)
                 val = np.repeat(val, cnt) & flat[entry]
                 keep = np.flatnonzero(val)
-                key, entry, val = key[keep], entry[keep], val[keep]
+                entry, val = entry[keep], val[keep]
                 # one entry per target keeps its stamp; OR the rest into it
-                pos = np.arange(key.size)
-                stamp[key] = pos
-                win = stamp[key]
+                pos = np.arange(entry.size)
+                stamp[entry] = pos
+                win = stamp[entry]
                 first = win == pos
                 if not first.all():
                     lost = ~first
                     np.bitwise_or.at(val, win[lost], val[lost])
-                    key, entry, val = key[first], entry[first], val[first]
+                    entry, val = entry[first], val[first]
                 flat[entry] ^= val
-                per_word = np.bincount(key // n, minlength=words)
-                some = np.flatnonzero(per_word)
                 new = np.zeros(words, dtype=np.uint64)
-                new[some] = np.bitwise_or.reduceat(
-                    val, (np.cumsum(per_word) - per_word)[some])
+                np.bitwise_or.at(new, entry % words, val)
             else:
-                if key is not None:
+                if entry is not None:
                     front.fill(0)
-                    front[key % n, key // n] = val
-                    key = None
+                    front.reshape(-1)[entry] = val
+                    entry = None
                 pulled.fill(0)
                 for s in plan.slices:
                     got = gathered[:s.size]

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
-from diamest import exact_diameter, parse_edge_list, parse_graph, write_edge_list
+import diamest.estimators as estimators
+from diamest import (RestartLimitError, exact_diameter, parse_edge_list,
+                     parse_graph, sampled_estimate, write_edge_list)
 from diamest.cli import CSV_HEADER, load_corpus, main
 from helpers import (fit_time_exponent, parse_metadata, path_graph,
                      star_graph)
@@ -174,15 +176,22 @@ def test_huge_vertex_count_exit_1(capsys, tmp_path):
       "--htilde", "2"], "infinity"),
     (["estimate", "--input", "{p10}", "--method", "rv", "--sample-const",
       "1e400"], "infinity"),
+    (["gen", "--family", "path", "--n", "5", "--weights", "1"],
+     "error: weights must be LO:HI integers, got '1'"),
+    (["bench", "--corpus", "{weights}", "--methods", "exact"],
+     "corpus line 1: weights must be LO:HI integers, got 'abc'"),
 ], ids=["bench-missing-corpus", "bench-corpus-not-utf8", "gen-out-no-dir",
         "reduce-out-no-dir", "gen-negative-m", "bounded-degree-negative-m",
         "estimate-not-utf8", "exact-not-utf8",
-        "sparse-infinite-delta", "rv-infinite-sample-const"])
+        "sparse-infinite-delta", "rv-infinite-sample-const",
+        "gen-bad-weights", "bench-corpus-bad-weights"])
 def test_input_errors_exit_1_with_message(capsys, tmp_path, p10_file, argv,
                                           message):
     latin1 = tmp_path / "latin1.edges"
     latin1.write_bytes("3 1\n0 1 \u00e9\n".encode("latin-1"))
-    fill = dict(d=tmp_path, p10=p10_file, latin1=latin1)
+    weights = tmp_path / "weights.txt"
+    weights.write_text("family=path,n=5,weights=abc\n")
+    fill = dict(d=tmp_path, p10=p10_file, latin1=latin1, weights=weights)
     code, out, err = _run(capsys, [a.format(**fill) for a in argv])
     assert code == 1 and out == ""
     assert message.format(**fill) in err and "Traceback" not in err
@@ -197,6 +206,31 @@ def test_bad_sample_const_exit_1_with_message(capsys, p10_file, method, value):
     assert code == 1 and out == ""
     assert err.startswith("error: sample_const must be > 0")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "rv", "--sample-const", "1e308"],
+    ["--method", "rv-weighted", "--sample-const", "1e308"],
+    ["--method", "sampling", "--delta", "1e-320"],
+], ids=["rv", "rv-weighted", "sampling"])
+def test_sample_size_overflow_takes_every_vertex(capsys, p10_file, argv):
+    # used to exit 1 with "cannot convert float infinity to integer"
+    code, out, err = _run(capsys, ["estimate", "--input", p10_file] + argv)
+    assert code == 0
+    assert "value=9" in out.splitlines() and "sample_size=10" in out
+
+
+def test_rerun_cap_raises_restart_limit_error(capsys, monkeypatch, p10_file):
+    # a one-vertex sample of a path never hits the near set of the vertex
+    # farthest from it, so with no reruns allowed every seed gives up
+    monkeypatch.setattr(estimators, "DEFAULT_RERUN_CAP", 0)
+    for seed in range(20):
+        with pytest.raises(RestartLimitError, match="failed 1 times"):
+            sampled_estimate(path_graph(10), seed=seed, sample_const=0.01)
+    code, out, err = _run(capsys, ["estimate", "--input", p10_file, "--method",
+                                   "rv", "--sample-const", "0.01"])
+    assert code == 1 and out == ""
+    assert err == "error: hitting-sample verification failed 1 times\n"
 
 
 @pytest.mark.parametrize("reps", ["0", "-2"])

@@ -649,6 +649,16 @@ def test_sampling_exhaustive_is_exact():
     assert est.value == 10
 
 
+def test_sample_sizes_that_overflow_take_every_vertex():
+    # ceil(inf) used to raise "cannot convert float infinity to integer"
+    g = path_graph(10)
+    for est in (sampled_estimate(g, sample_const=1e308),
+                sampled_estimate_weighted(g, sample_const=1e308),
+                sampling_estimate(g, delta=1e-320)):
+        assert est.param("sample_size") == 10
+        assert est.value == 9
+
+
 def test_sampling_parameter_validation():
     g = path_graph(4)
     with pytest.raises(ValueError):

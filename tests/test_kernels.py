@@ -268,13 +268,16 @@ def test_bit_parallel_depths_match_floyd_warshall(g, data):
 def test_bit_parallel_push_level_then_pull_level():
     # a star of 8 entered from leaves, alone and beside an isolated vertex:
     # at a push price of 3 the leaves' out-arcs (1 each) push, the
-    # centre's 7 pull, so a pull reads the frontier a push left behind
+    # centre's 7 pull, so a pull reads the frontier a push left behind;
+    # the star of 200 entered from 130 leaves does so at W = 3 words
     star = build_graph(8, [(0, v) for v in range(1, 8)])
     lonely = build_graph(9, [(0, v) for v in range(1, 8)])
-    for g in (star, lonely):
-        for sources in ([1], [1, 5], [3, 3, 6]):
-            with caps(**MSBFS, _PUSH_COST=3, _PUSH_START=0):
-                _check_batch_stats(g, np.array(sources))
+    wide = build_graph(200, [(0, v) for v in range(1, 200)])
+    cases = [(g, s) for g in (star, lonely) for s in ([1], [1, 5], [3, 3, 6])]
+    cases.append((wide, range(1, 131)))
+    for g, sources in cases:
+        with caps(**MSBFS, _PUSH_COST=3, _PUSH_START=0):
+            _check_batch_stats(g, np.array(sources))
 
 
 @PROPERTY
