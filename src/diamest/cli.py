@@ -440,7 +440,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        try:
+            return args.func(args)
+        except MemoryError:  # numpy's allocation failures included
+            print(f"error: out of memory in {args.command}", file=sys.stderr)
+            return 1
     except SystemExit as exc:  # usage and input errors carry their exit code
         return exc.code if isinstance(exc.code, int) else 1
 

@@ -6,7 +6,8 @@ a spec regenerates the identical graph byte for byte.  Random families are
 post-processed to guarantee a finite diameter: after a few resampling
 attempts a random Hamiltonian backbone is overlaid (a path for undirected
 graphs, a cycle for directed ones, which plain paths cannot make strongly
-connected).
+connected).  An attempt that leaves some vertex without an arc cannot
+connect, so it builds no graph.
 """
 from __future__ import annotations
 
@@ -62,7 +63,11 @@ def _sample_pairs(rng, n, m, directed):
         if not directed:
             us, vs = np.minimum(us, vs), np.maximum(us, vs)
         keys = (us * n + vs)[us != vs]
-        keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
+        # each distinct key at its first draw position, in draw order: the
+        # smallest position of each run of equal keys in their sorted order
+        order = np.argsort(keys)
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        keys = keys[np.sort(np.minimum.reduceat(order, starts))]
         fresh = keys[~np.isin(keys, chosen)]
         chosen = np.concatenate((chosen, fresh[:need]))
     return np.column_stack(np.divmod(chosen, n))
@@ -76,9 +81,22 @@ def _backbone(rng, n, directed):
     return np.column_stack((perm[:ends.size], ends))
 
 
+def _misses_a_vertex(n, edges, directed):
+    """True when some vertex has no out-arc or no in-arc (no edge at all
+    when undirected), which proves that the loop-free ``edges`` leave a
+    graph on n > 1 vertices unconnected; False proves nothing."""
+    if n < 2:
+        return False
+    ends = (edges[:, 0], edges[:, 1]) if directed else (edges.ravel(),)
+    return any(np.bincount(e, minlength=n).min() == 0 for e in ends)
+
+
 def _connected_random(spec, rng, sampler):
     for _ in range(CONNECT_RETRIES):
-        g = build_graph(spec.n, sampler(rng), directed=spec.directed)
+        edges = sampler(rng)
+        if _misses_a_vertex(spec.n, edges, spec.directed):
+            continue
+        g = build_graph(spec.n, edges, directed=spec.directed)
         if finite_diameter_check(g):
             return g
     edges = np.concatenate((sampler(rng), _backbone(rng, spec.n, spec.directed)))

@@ -136,17 +136,15 @@ class Graph:
         if isinstance(rev, weakref.ref):
             rev = rev()
         if rev is None:
-            order = np.argsort(self.indices, kind="stable")
-            rev_src = self.indices[order]
             # target of the reversed arc = source vertex of the original arc
             arc_src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-            rev_dst = arc_src[order]
+            # arcs are distinct, so the keys dst * n + src are too and any
+            # argsort gives the reversed arcs in (source, target) order
+            order = np.argsort(self.indices * self.n + arc_src)
             rev_indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rev_src, minlength=self.n), out=rev_indptr[1:])
-            rev_w = None if self.weights is None else self.weights[order].copy()
-            # rows come out sorted because argsort is stable and arc_src is
-            # nondecreasing within each original row group
-            rev = Graph(self.n, True, rev_indptr, rev_dst.copy(), rev_w)
+            np.cumsum(np.bincount(self.indices, minlength=self.n), out=rev_indptr[1:])
+            rev_w = None if self.weights is None else self.weights[order]
+            rev = Graph(self.n, True, rev_indptr, arc_src[order], rev_w)
             # a weak way back: a reference cycle would keep both graphs'
             # arrays alive until the cyclic garbage collector ran
             rev._rev = weakref.ref(self)
@@ -246,10 +244,14 @@ def build_graph(n, edges, directed=False) -> Graph:
     edges = edges.astype(np.int64, copy=False)
     if not directed:
         edges = np.concatenate((edges, edges[:, [1, 0, 2][:edges.shape[1]]]))
-    # sort arcs by (src, dst) and keep one per pair with its minimum weight
+    # sort arcs by (src, dst) and keep one per pair with its minimum weight;
+    # only weights need the permutation, so unweighted keys sort in place
     key = edges[:, 0] * n + edges[:, 1]
-    order = np.argsort(key)
-    key = key[order]
+    if weighted:
+        order = np.argsort(key)
+        key = key[order]
+    else:
+        key.sort()
     # start of each run of equal keys; key[:1] >= 0 is [True] unless empty
     first = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))
     wts = np.minimum.reduceat(edges[order, 2], first) if weighted else None

@@ -492,7 +492,8 @@ def _pull_plan(h: Graph, words: int) -> _Pull:
         order = rank = None
         nbr, first = pull.indices, pull.indptr[:-1]
     else:
-        order = np.argsort(-deg, kind="stable")
+        # by descending in-degree, ties by id: one sort of distinct keys
+        order = np.sort((deg.max() - deg) * n + np.arange(n)) % n
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
         nbr, first, deg = rank[pull.indices], pull.indptr[order], deg[order]
@@ -640,8 +641,12 @@ def _per_source_wins(h: Graph, sources: np.ndarray) -> bool:
     """Whether one C search per source beats the multi-source BFS of
     ``sources`` in unweighted ``h``.
 
-    The two costs above make the choice turn on the depth, which one scipy
-    BFS from ``sources[0]`` probes only when it can matter.
+    The two costs above make the choice turn on the depth: one search per
+    source wins when per_source < level_cost * (depth + 1), that is when
+    the depth reaches per_source // level_cost steps.  Only when that can
+    go either way does one scipy BFS from ``sources[0]`` probe it, walking
+    up the tree from the last vertex of the BFS order, a deepest one, for
+    at most that many steps.
     """
     n, k = h.n, sources.size
     chunk = _msbfs_chunk(h)
@@ -651,8 +656,17 @@ def _per_source_wins(h: Graph, sources: np.ndarray) -> bool:
                                    + _MSBFS_WORD_UNITS * words)
     if per_source >= level_cost * n:  # MS-BFS wins even at depth n - 1
         return False
-    depth = int(_bfs_tree(h, sources[:1])[1][-1])
-    return per_source < level_cost * (depth + 1)
+    steps = per_source // level_cost
+    if steps == 0:
+        return True
+    order, pred = breadth_first_order(h.scipy_matrix(), int(sources[0]),
+                                      directed=True)
+    v, up = int(order[-1]), pred.item
+    for _ in range(steps):
+        v = up(v)
+        if v < 0:  # above the root: the depth is below ``steps``
+            return False
+    return True
 
 
 def batch_search_stats(g: Graph, sources, direction: str = OUT):

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import diamest.cli as cli
 import diamest.estimators as estimators
 from diamest import (RestartLimitError, exact_diameter, parse_edge_list,
                      parse_graph, sampled_estimate, write_edge_list)
@@ -195,6 +196,29 @@ def test_input_errors_exit_1_with_message(capsys, tmp_path, p10_file, argv,
     code, out, err = _run(capsys, [a.format(**fill) for a in argv])
     assert code == 1 and out == ""
     assert message.format(**fill) in err and "Traceback" not in err
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--input", "{p10}", "--method", "two-approx"],
+    ["bench", "--corpus", "{corpus}", "--methods", "two-approx"],
+    ["bench", "--corpus", "{corpus}", "--methods", "two-approx",
+     "--threads", "2"],
+    ["gen", "--family", "path", "--n", "5"],
+], ids=["estimate", "bench", "bench-threads", "gen"])
+def test_out_of_memory_exit_1_with_one_line(capsys, monkeypatch, tmp_path,
+                                            p10_file, argv):
+    monkeypatch.setattr(cli, "run_method", _out_of_memory)
+    monkeypatch.setattr(cli, "generate", _out_of_memory)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"file={p10_file}\nfile={p10_file},id=again\n")
+    code, out, err = _run(capsys, [a.format(p10=p10_file, corpus=corpus)
+                                   for a in argv])
+    assert (code, out) == (1, "")
+    assert err == f"error: out of memory in {argv[0]}\n"
 
 
 @pytest.mark.parametrize("method", ["rv", "rv-weighted", "sampling"])

@@ -4,9 +4,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from diamest import (GenSpec, exact_diameter, finite_diameter_check, generate,
-                     write_edge_list)
-from diamest.generators import _sample_pairs
+import diamest.generators as generators
+from diamest import (GenSpec, build_graph, exact_diameter, finite_diameter_check,
+                     generate, write_edge_list)
+from diamest.generators import _misses_a_vertex, _sample_pairs
 
 
 def _diam(g):
@@ -118,6 +119,11 @@ def test_small_n_edge_cases():
     assert _diam(generate(GenSpec("complete", 1))) == 0
 
 
+# the benchmark's sweep-directed and nearset-undirected shapes, at the seed
+# that its workload seed 1 derives for their first graph
+SWEEP = GenSpec("gnm", 1024, m=3072, seed=1000013, directed=True)
+NEARSET = GenSpec("gnm", 768, m=1920, seed=1000013)
+
 # sha256 of write_edge_list(generate(spec)): the samplers draw in fixed
 # chunks with first-seen-wins order, so every seed keeps its graph
 PINNED = [
@@ -139,6 +145,8 @@ PINNED = [
      "17dd64753a5276ffad54b5f89358b53a94ea7bd3a35be8fc2ad4d96c89772300"),
     (GenSpec("bounded_degree", 60, max_degree=3, m=80, seed=2),
      "65d462db4cf0580d5d9bcf69d00ee8ce1c9d47c7d91ea4ed3d2ae54f3531cfc4"),
+    (SWEEP, "9539e04345a506cf566e83efe79842e82db3e96b011afb0f5d8b671f9c190b2a"),
+    (NEARSET, "7a169b7dc97c024cee6d3f04fd6a33269484cf7581299e9c3c154322e83d2618"),
 ]
 
 
@@ -181,3 +189,49 @@ def test_sample_pairs_matches_per_draw_loop():
         assert sorted(map(tuple, got.tolist())) == want
         # the same number of draws, so later draws see the same stream
         assert ref_rng.integers(0, 2 ** 62) == new_rng.integers(0, 2 ** 62)
+
+
+@pytest.mark.parametrize("spec", [SWEEP, NEARSET], ids=["sweep", "nearset"])
+def test_draws_that_miss_a_vertex_build_no_graph(monkeypatch, spec):
+    # every one of the 8 retried draws leaves some vertex without an arc,
+    # so only the backbone overlay builds a graph
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(generators, "build_graph", counting)
+    generate(spec)
+    assert built == [spec.n]
+
+
+def test_degree_check_skips_only_unconnected_draws(monkeypatch):
+    # a skipped draw must be one that finite_diameter_check would refuse
+    draws = []
+
+    def recording(n, edges, directed):
+        draws.append((n, edges, directed, _misses_a_vertex(n, edges, directed)))
+        return draws[-1][-1]
+
+    monkeypatch.setattr(generators, "_misses_a_vertex", recording)
+    rng = np.random.default_rng(17)
+    for _ in range(240):
+        n = int(rng.integers(1, 24))
+        directed = bool(rng.integers(0, 2))
+        seed = int(rng.integers(0, 2 ** 32))
+        if rng.integers(0, 2):
+            cap = n * (n - 1) if directed else n * (n - 1) // 2
+            m = int(rng.integers(0, min(cap, 3 * n) + 1))
+            spec = GenSpec("gnm", n, m=m, seed=seed, directed=directed)
+        else:
+            spec = GenSpec("gnp", n, p=float(rng.uniform(0, 0.4)), seed=seed,
+                           directed=directed)
+        generate(spec)
+    connected = [finite_diameter_check(build_graph(n, e, directed=d))
+                 for n, e, d, _ in draws]
+    skipped = [skip for *_, skip in draws]
+    assert not any(c and s for c, s in zip(connected, skipped))
+    # the draws hold all three kinds: skipped, built and refused, connected
+    assert sum(skipped) >= 200 and any(connected)
+    assert any(not (c or s) for c, s in zip(connected, skipped))

@@ -116,6 +116,40 @@ def test_reverse_preserves_weights():
     assert arc_weights(r, 2).tolist() == [7]
 
 
+def _random_arcs(rng, n, weighted):
+    """Up to 4n random arcs with loops and parallel arcs; weights 0..3, so
+    parallel arcs often differ in weight."""
+    m = int(rng.integers(0, 4 * n + 1))
+    arcs = rng.integers(0, n, size=(m, 2))
+    return np.column_stack((arcs, rng.integers(0, 4, size=m))) if weighted else arcs
+
+
+def test_reverse_equals_build_of_flipped_arcs():
+    # reverse() orders the arcs by one argsort of the keys dst * n + src
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        for weighted in (False, True):
+            arcs = _random_arcs(rng, n, weighted)
+            flipped = arcs.copy()
+            flipped[:, :2] = arcs[:, 1::-1]
+            g = build_graph(n, arcs, directed=True)
+            assert g.reverse() == build_graph(n, flipped, directed=True)
+
+
+def test_build_unweighted_and_weighted_share_the_csr():
+    # unweighted keys are sorted in place, weighted ones through argsort
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        arcs = _random_arcs(rng, n, True)
+        for directed in (False, True):
+            plain = build_graph(n, arcs[:, :2], directed=directed)
+            weighted = build_graph(n, arcs, directed=directed)
+            assert np.array_equal(plain.indptr, weighted.indptr)
+            assert np.array_equal(plain.indices, weighted.indices)
+
+
 def test_finite_check_isolated_pair():
     assert not finite_diameter_check(build_graph(2, []))
 

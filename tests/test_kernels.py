@@ -326,3 +326,52 @@ def test_batch_kernel_choice_follows_the_depth(monkeypatch):
     g = generate(GenSpec("gnm", 256, m=40 * 256, seed=1, directed=True))
     search_module.batch_search_stats(g, np.arange(g.n), OUT)
     assert calls == ["_msbfs_stats"]
+
+
+def test_depth_probe_keeps_the_kernel_choice():
+    # _per_source_wins walks at most per_source // level_cost steps up the
+    # probe's tree; the choice must equal the rule applied to the depth of
+    # a full search, on every side of each flip of the choice
+    def rule(h, k, depth):
+        chunk = search_module._msbfs_chunk(h)
+        words = (min(k, chunk) + 63) >> 6
+        per_source = k * (search_module._SOURCE_UNITS + h.n + h.arc_count)
+        level = -(-k // chunk) * (search_module._MSBFS_LEVEL_UNITS
+                                  + search_module._MSBFS_WORD_UNITS * words)
+        return per_source < level * (depth + 1)
+
+    specs = [GenSpec("path", 130), GenSpec("grid", 1024),
+             GenSpec("gnm", 256, m=40 * 256, seed=1, directed=True),
+             GenSpec("gnm", 72, m=216, seed=1, directed=True),
+             GenSpec("gnm", 1024, m=3072, seed=1, directed=True),
+             GenSpec("path", 4096), GenSpec("grid", 4096), GenSpec("cycle", 4096),
+             GenSpec("cycle", 4096, directed=True)]
+    flips = 0
+    for spec in specs:
+        g = generate(spec)
+        for h in (g, g.reverse()) if g.directed else (g,):
+            depth = search(h, 0).depth
+            want = [rule(h, k, depth) for k in range(1, h.n + 1)]
+            edges = [k for k in range(2, h.n + 1) if want[k - 1] != want[k - 2]]
+            flips += len(edges)
+            ks = {1, 2, h.n, *(1 << e for e in range(h.n.bit_length())),
+                  *(k + d for k in edges for d in (-1, 0, 1))}
+            for k in sorted(k for k in ks if 1 <= k <= h.n):
+                got = search_module._per_source_wins(h, np.arange(k))
+                assert got == want[k - 1], (spec, k)
+    assert flips >= len(specs) - 1  # only the dense gnm never flips
+
+
+def test_pull_plan_orders_rows_by_descending_in_degree():
+    # the order sorts the distinct keys (top - deg) * n + id; many vertices
+    # share an in-degree here, so ties must still go by id
+    for spec in (GenSpec("grid", 400), GenSpec("bounded_degree", 300, m=450,
+                                               max_degree=4, seed=2),
+                 GenSpec("gnm", 300, m=900, seed=3, directed=True),
+                 GenSpec("gnm", 300, m=600, seed=4)):
+        h = generate(spec)
+        deg = np.diff(h.reverse().indptr)
+        assert np.unique(deg).size < h.n // 20
+        plan = search_module._pull_plan(h, 64)
+        assert plan.order is not None
+        assert np.array_equal(plan.order, np.argsort(-deg, kind="stable"))
