@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_graph(path: str, directed: bool, weight_scale: int) -> Graph:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
@@ -196,7 +196,7 @@ def load_corpus(path: str) -> list[tuple[str, Graph]]:
     An ``id=`` field overrides the positional instance name.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphParseError(f"cannot read {path}: {exc}") from None
@@ -210,7 +210,7 @@ def load_corpus(path: str) -> list[tuple[str, Graph]]:
             kv = _parse_kv(line)
             name = kv.pop("id", f"i{idx:03d}")
             if "file" in kv:
-                with open(kv["file"], "r", encoding="utf-8") as fh:
+                with open(kv["file"], "r", encoding="utf-8-sig") as fh:
                     text = fh.read()
                 g = parse_graph(text,
                                 directed=bool(int(kv.get("directed", "0"))),

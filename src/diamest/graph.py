@@ -7,12 +7,17 @@ logical edge count ``m`` counts each undirected edge once.
 
 Every graph is built by one array core, :func:`build_graph`: an edge
 array goes through the range, weight and 2^53 checks, symmetrization,
-sorting and deduplication as whole-array operations.  The edge-list
-reader hands it the file body as one int64 array read by ``np.loadtxt``;
-only a body that is not plain integers in range is read line by line,
-which names the first bad line.  Full weighted searches then run scipy's
-Dijkstra (see :mod:`diamest.search`), so no per-edge Python loop runs
-between reading a file and its first full search.
+sorting and deduplication as whole-array operations.  The text readers
+find the header line by line and then check the layout of the whole body
+with bytes methods: when it is one row of plain decimal integers per line,
+parted by blanks and tabs, a single ``np.fromstring`` scan reads it as an
+int64 array (a body in any spacing but the writer's is first brought to
+it with bytes replaces).  Any other body (comments between edges, signs,
+decimal weights, an endpoint out of range, a bad line) is read line by
+line, which gives the same graph or names the first bad line.  Full
+weighted searches then run scipy's Dijkstra (see :mod:`diamest.search`), so
+no per-edge Python loop runs between reading a clean file and its first
+full search.
 
 All arrays are made read-only after construction, so a Graph can be shared
 freely between concurrent searches.  The reverse graph and the scipy
@@ -37,8 +42,24 @@ UNREACHED = np.iinfo(np.int64).max
 
 # Edges formatted per block by write_edge_list.
 _WRITE_ROWS = 1 << 16
-# the record tag that starts a DIMACS arc line "a u v w"
-_ARC_TAG = re.compile(r"^[ \t]*a(?=[ \t])", re.M)
+_INT64_MAX = np.iinfo(np.int64).max
+# the line breaks of str.splitlines, which numbers the lines of a text
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAK = re.compile(f"\r\n|[{_BREAKS}]")
+# DIMACS arc bodies are matched with a "\n" put before their first line,
+# so that each pattern starts with a literal the regex engine skips to:
+# the record tag that starts an arc line "a u v w", with its blanks; the
+# digit after it keeps a tagged line from being taken for a blank one
+_ARC_TAG = re.compile(r"\n[ \t]*a[ \t]+(?=[0-9])")
+# a line without a record, blank or a "c" comment, and the break before it;
+# a comment ends at the first line break, which must be a "\n"
+_DIMACS_NOTE = re.compile(f"\n[ \t]*(?:c[^{_BREAKS}]*)?\r?(?=\n|\\Z)")
+# digits deleted and tabs made blanks, a table leaves only its separators
+_TAB_TO_BLANK = bytes.maketrans(b"\t", b" ")
+# tabs made blanks and every ASCII line break a "\n"
+_ASCII_BREAKS = _BREAKS.encode("ascii", "ignore")
+_SPACING = bytes.maketrans(b"\t" + _ASCII_BREAKS,
+                           b" " + b"\n" * len(_ASCII_BREAKS))
 
 
 class GraphError(ValueError):
@@ -223,15 +244,21 @@ def build_graph(n, edges, directed=False) -> Graph:
     edges = _edge_array(edges)
     u, v = edges[:, 0], edges[:, 1]
     loop = u == v
-    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    if edges.shape[1] == 3:
-        bad |= (edges[:, 2] < 0) & ~loop
-    if bad.any():
-        i = int(np.argmax(bad))
-        a, b = int(u[i]), int(v[i])
-        if not (0 <= a < n and 0 <= b < n):
-            raise GraphError(f"edge ({a},{b}) out of range for n={n}")
-        raise GraphError(f"negative weight {int(edges[i, 2])} on edge ({a},{b})")
+    # reductions clear almost every input (the minimum over every column
+    # also catches a negative weight); the per-edge mask that names the
+    # first offending edge is built only when one of them fails.  Endpoint
+    # maxima run per column: numpy reduces the strided view edges[:, :2]
+    # of a weighted array about 15 times slower
+    if len(edges) and (edges.min() < 0 or max(u.max(), v.max()) >= n):
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if edges.shape[1] == 3:
+            bad |= (edges[:, 2] < 0) & ~loop
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b = int(u[i]), int(v[i])
+            if not (0 <= a < n and 0 <= b < n):
+                raise GraphError(f"edge ({a},{b}) out of range for n={n}")
+            raise GraphError(f"negative weight {int(edges[i, 2])} on edge ({a},{b})")
     if loop.any():
         edges = edges[~loop]
     weighted = edges.shape[1] == 3 and len(edges) > 0  # no arc, no weights
@@ -242,23 +269,28 @@ def build_graph(n, edges, directed=False) -> Graph:
         raise GraphError(f"weight {top} can make a path over {n} "
                          f"vertices longer than 2^53")
     edges = edges.astype(np.int64, copy=False)
-    if not directed:
-        edges = np.concatenate((edges, edges[:, [1, 0, 2][:edges.shape[1]]]))
-    # sort arcs by (src, dst) and keep one per pair with its minimum weight;
-    # only weights need the permutation, so unweighted keys sort in place
-    key = edges[:, 0] * n + edges[:, 1]
+    u, v = edges[:, 0], edges[:, 1]
+    # sort arcs by the key src * n + dst and keep one per pair with its
+    # minimum weight; only weights need the permutation, so unweighted
+    # keys sort in place
+    key = u * n + v if directed else np.concatenate((u * n + v, v * n + u))
     if weighted:
         order = np.argsort(key)
         key = key[order]
+        wts = edges[:, 2] if directed else np.concatenate((edges[:, 2],) * 2)
+        wts = wts[order]
     else:
         key.sort()
     # start of each run of equal keys; key[:1] >= 0 is [True] unless empty
     first = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))
-    wts = np.minimum.reduceat(edges[order, 2], first) if weighted else None
-    src, dst = np.divmod(key[first], max(n, 1))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return Graph(n, directed, indptr, dst, wts)
+    wts = np.minimum.reduceat(wts, first) if weighted else None
+    key = key[first]
+    # row r holds the keys in [r * n, (r + 1) * n); taking its start off
+    # each key leaves the target
+    starts = np.arange(n + 1, dtype=np.int64) * n
+    indptr = np.searchsorted(key, starts)
+    key -= np.repeat(starts[:-1], np.diff(indptr))
+    return Graph(n, directed, indptr, key, wts)
 
 
 def finite_diameter_check(g: Graph) -> bool:
@@ -302,23 +334,85 @@ def _scaled_weight(token: str, scale: int, lineno: int) -> int:
     return w
 
 
-def _edge_rows(body, n: int, width: int, scale: int):
-    """The edge lines as one (m, width) int64 array, or None when some line
-    needs the line-by-line reader: a comment, a token that is not a plain
-    int64, an endpoint out of range or a negative or scaled-out weight."""
-    if not any(map(str.strip, body)):  # loadtxt warns on empty input
+def _first_record(text: str, comment: str):
+    """(line number, stripped line, offset past its line break) of the
+    first line of the text that is neither blank nor starts with
+    ``comment``, or None; lines are numbered and broken as str.splitlines
+    does."""
+    start, lineno = 0, 0
+    while start < len(text):
+        brk = _BREAK.search(text, start)
+        end, after = brk.span() if brk else (len(text), len(text))
+        lineno += 1
+        line = text[start:end].strip()
+        if line and not line.startswith(comment):
+            return lineno, line, after
+        start = after
+    return None
+
+
+def _table(body: str, width: int):
+    """The body as an (m, width) int64 array when it is m lines of width
+    unsigned decimal integers below 2^63 - 1, parted by blanks and tabs,
+    with blank lines anywhere and any line breaks of str.splitlines but
+    the non-ASCII ones; None for every other layout.  One C scan reads the
+    values."""
+    data = body.encode("ascii", "replace").strip()
+    if b"\r" in data:  # a replace that finds nothing still costs a scan
+        data = data.replace(b"\r\n", b"\n")
+    # the writer's layout is read as it stands; any other spacing is first
+    # brought to it
+    rows = _scan(data, width)
+    return rows if rows is not None else _scan(_tidy(data), width)
+
+
+def _scan(data: bytes, width: int):
+    """``data`` as an (m, width) int64 array when it is m lines of width
+    unsigned decimal integers below 2^63 - 1, each parted from the next by
+    one blank or tab, and its lines are parted by one line feed; None
+    otherwise."""
+    if not data:
         return np.empty((0, width), dtype=np.int64)
-    try:
-        rows = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
-    except (ValueError, OverflowError):
+    seps = data.translate(_TAB_TO_BLANK, b"0123456789")
+    lines = seps.count(b"\n") + 1
+    if seps + b"\n" != (b" " * (width - 1) + b"\n") * lines:
         return None
-    if rows.shape[1] != width or rows[:, :2].min() < 0 or rows[:, :2].max() >= n:
+    # one value per digit run: with the separators right, a short count
+    # means an empty field
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    # strtoll saturates, so int64 max also stands for every larger token
+    if values.size != width * lines or values.max() == _INT64_MAX:
+        return None
+    return values.reshape(lines, width)
+
+
+def _tidy(data: bytes) -> bytes:
+    """``data`` with tabs made blanks, ASCII line breaks made line feeds,
+    one blank between fields, none around a line break and no blank lines.
+    Bytes replaces, which run in C without a call per match, do it about
+    four times faster than a regex substitution."""
+    data = data.translate(_SPACING)
+    while b"  " in data:
+        data = data.replace(b"  ", b" ")
+    data = data.replace(b" \n", b"\n").replace(b"\n ", b"\n")
+    while b"\n\n" in data:
+        data = data.replace(b"\n\n", b"\n")
+    return data.strip()
+
+
+def _edge_rows(body: str, n: int, width: int, scale: int):
+    """The edge lines as one (m, width) int64 array, or None when the body
+    needs the line-by-line reader: a comment, a token that is not a plain
+    integer, an endpoint out of range or a scaled-out weight."""
+    rows = _table(body, width)
+    if rows is None or not len(rows):
+        return rows
+    if max(rows[:, 0].max(), rows[:, 1].max()) >= n:
         return None
     if width == 3:
         # scaled weights must stay int64; 10^18 is the largest int64 scale
         w = rows[:, 2]
-        top = np.iinfo(np.int64).max
-        if not 0 <= scale <= 18 or w.min() < 0 or int(w.max()) * 10 ** scale > top:
+        if not 0 <= scale <= 18 or int(w.max()) * 10 ** scale > _INT64_MAX:
             return None
         w *= 10 ** scale
     return rows
@@ -357,36 +451,35 @@ def parse_edge_list(text: str, directed: bool = False, weight_scale: int = 0) ->
     line.  Decimal weights are scaled by ``10**weight_scale`` and must come
     out integral (default scale 0: integers only).
 
-    The body is read as one integer array; only a body that is not plain
-    integers in range (comments between edges, decimal weights, errors)
-    is read line by line, which names the first bad line.
+    A body of plain integers in range, one edge per line, is read in one
+    scan; any other body (comments between edges, several blanks between
+    fields, decimal weights, errors) is read line by line, which names the
+    first bad line.
     """
-    return _parse_edge_lines(text.splitlines(), directed, weight_scale)
-
-
-def _parse_edge_lines(lines, directed, weight_scale):
-    """parse_edge_list on the lines of the text."""
-    for at, raw in enumerate(lines):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            break
-    else:
+    header = _first_record(text, "#")
+    if header is None:
         raise GraphParseError("line 1: missing header")
+    lineno, line, end = header
     parts = line.split()
     if len(parts) not in (2, 3) or (len(parts) == 3 and parts[2] != "w"):
-        raise GraphParseError(f"line {at + 1}: bad header {line!r}")
+        raise GraphParseError(f"line {lineno}: bad header {line!r}")
     try:
         n, declared_m = int(parts[0]), int(parts[1])
     except ValueError:
-        raise GraphParseError(f"line {at + 1}: bad header {line!r}") from None
+        raise GraphParseError(f"line {lineno}: bad header {line!r}") from None
     width = 3 if len(parts) == 3 else 2
-    body = lines[at + 1:]
+    body = text[end:]
     edges = _edge_rows(body, n, width, weight_scale)
     if edges is None:
-        edges = _edge_lines(body, at + 2, n, width, weight_scale)
+        edges = _edge_lines(body.splitlines(), lineno + 1, n, width, weight_scale)
     if len(edges) != declared_m:
         raise GraphParseError(
             f"header declares {declared_m} edges but file has {len(edges)}")
+    return _parsed_graph(n, edges, directed)
+
+
+def _parsed_graph(n, edges, directed) -> Graph:
+    """build_graph, raising its errors as GraphParseError."""
     try:
         return build_graph(n, edges, directed=directed)
     except GraphError as exc:
@@ -413,19 +506,21 @@ def write_edge_list(g: Graph) -> str:
     return "".join(parts)
 
 
-def _arc_rows(body, n: int):
+def _arc_rows(body: str, n: int):
     """DIMACS arc lines as one (m, 3) int64 array of 0-indexed arcs, or
     None when some line needs the line-by-line reader: one that is neither
     blank, a ``c`` comment nor an ``a`` record, an endpoint out of [1, n]
-    or any line _edge_rows refuses."""
-    arcs = [raw for raw in body if (line := raw.strip()) and line[0] != "c"]
-    text, tags = _ARC_TAG.subn("", "\n".join(arcs))
-    if tags != len(arcs):
+    or any layout _table refuses."""
+    text, tags = _ARC_TAG.subn("\n", _DIMACS_NOTE.sub("", "\n" + body))
+    rows = _table(text, 3)
+    # every line left is one row, so a row for each tag means none lacks one
+    if rows is None or len(rows) != tags:
         return None
-    rows = _edge_rows(text.split("\n"), n + 1, 3, 0)
-    if rows is None or (len(rows) and rows[:, :2].min() < 1):
+    u, v = rows[:, 0], rows[:, 1]
+    if tags and (min(u.min(), v.min()) < 1 or max(u.max(), v.max()) > n):
         return None
-    rows[:, :2] -= 1
+    u -= 1
+    v -= 1
     return rows
 
 
@@ -434,15 +529,25 @@ def parse_dimacs(text: str) -> Graph:
     ``a u v w`` arcs, 1-indexed.  Produces a directed weighted graph.
 
     When nothing but arcs, blank lines and comments follows the problem
-    line, the arcs are read as one integer array, as an edge-list body is;
-    any other file (a second problem line, errors) is read one record at a
-    time, which names the first bad line.
+    line, the arcs are read in one scan, as an edge-list body is; any other
+    file (a second problem line, errors) is read one record at a time,
+    which names the first bad line.
     """
-    return _parse_dimacs_lines(text.splitlines())
+    first = _first_record(text, "c")
+    parts = first[1].split() if first else []
+    try:
+        n = int(parts[2]) if len(parts) == 4 and parts[:2] == ["p", "sp"] else None
+    except ValueError:
+        n = None
+    rows = None if n is None else _arc_rows(text[first[2]:], n)
+    if rows is None:
+        n, rows = _dimacs_lines(text.splitlines())
+    return _parsed_graph(n, rows, True)
 
 
-def _parse_dimacs_lines(lines):
-    """parse_dimacs on the lines of the text."""
+def _dimacs_lines(lines):
+    """(n, arcs) of a DIMACS file read one record at a time; raises on the
+    first bad line with its line number."""
     n = None
     edges = []
     for lineno, raw in enumerate(lines, start=1):
@@ -454,16 +559,10 @@ def _parse_dimacs_lines(lines):
             if len(parts) != 4 or parts[1] != "sp":
                 raise GraphParseError(f"line {lineno}: bad problem line {line!r}")
             try:
-                declared = int(parts[2])
+                n = int(parts[2])
             except ValueError:
                 raise GraphParseError(
                     f"line {lineno}: bad problem line {line!r}") from None
-            if n is None:  # first problem line: try the rest as one array
-                rows = _arc_rows(lines[lineno:], declared)
-                if rows is not None:
-                    n, edges = declared, rows
-                    break
-            n = declared
         elif parts[0] == "a":
             if n is None:
                 raise GraphParseError(f"line {lineno}: arc before problem line")
@@ -483,22 +582,14 @@ def _parse_dimacs_lines(lines):
             raise GraphParseError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphParseError("missing 'p sp n m' line")
-    try:
-        return build_graph(n, edges, directed=True)
-    except GraphError as exc:
-        raise GraphParseError(str(exc)) from None
+    return n, edges
 
 
 def parse_graph(text: str, directed: bool = False, weight_scale: int = 0) -> Graph:
     """Parse either format, sniffing DIMACS by its problem/comment lines."""
-    lines = text.splitlines()
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            continue
-        if line[0] in ("c", "p", "a"):
-            return _parse_dimacs_lines(lines)
-        return _parse_edge_lines(lines, directed, weight_scale)
-    raise GraphParseError("empty graph text")
+    first = _first_record(text, "#")
+    if first is None:
+        raise GraphParseError("empty graph text")
+    if first[1][0] in "cpa":
+        return parse_dimacs(text)
+    return parse_edge_list(text, directed, weight_scale)

@@ -3,11 +3,13 @@ full weighted search, each checked against a second way to the same
 answer.  The property tests draw small graphs with hypothesis, including
 weight 0 and weights at the 2^53 path-length bound."""
 import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import diamest.cli as cli
 from diamest import (GraphError, GraphParseError, IN, OUT, build_graph,
                      parse_dimacs, parse_edge_list, parse_graph, search,
                      write_edge_list)
@@ -250,6 +252,146 @@ def test_files_off_the_array_path_parse_as_before(text, scale, n, edges):
     assert parse_edge_list(text, weight_scale=scale) == build_graph(n, edges)
 
 
+def _one_scan_results(monkeypatch):
+    """What every call of the one-scan reader returns, in call order."""
+    graph_module = importlib.import_module("diamest.graph")
+    real = graph_module._table
+    results = []
+
+    def record(body, width):
+        results.append(real(body, width))
+        return results[-1]
+
+    monkeypatch.setattr(graph_module, "_table", record)
+    return results
+
+
+ONE_SCAN_LAYOUTS = {
+    "writer": lambda text: text,
+    "tabs": lambda text: text.replace(" ", "\t"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "trailing-blank-lines": lambda text: text + "\n  \n\t\n",
+    "double-blanks": lambda text: text.replace(" ", "  "),
+    "blanks-around-lines": lambda text: text.replace("\n", " \n\t"),
+    "blank-lines-between": lambda text: text.replace("\n", "\n \n"),
+    "lone-cr": lambda text: text.replace("\n", "\r"),
+    "form-feeds": lambda text: text.replace("\n", "\x0c"),
+}
+
+
+@pytest.mark.parametrize("layout", ONE_SCAN_LAYOUTS)
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_edge_list_layouts_are_read_in_one_scan(monkeypatch, layout, weighted, directed):
+    edges = [(0, 1, 3), (1, 2, 0), (2, 5, 17), (4, 3, 1), (5, 0, 2), (3, 3, 9)]
+    g = build_graph(6, [e if weighted else e[:2] for e in edges], directed=directed)
+    results = _one_scan_results(monkeypatch)
+    assert parse_graph(ONE_SCAN_LAYOUTS[layout](write_edge_list(g)),
+                       directed=directed) == g
+    assert len(results) == 1 and results[0] is not None
+
+
+def test_saturated_token_is_not_read_in_one_scan(monkeypatch):
+    # strtoll reads 2^63 as 2^63 - 1, so only the line reader sees the token
+    results = _one_scan_results(monkeypatch)
+    with pytest.raises(GraphParseError,
+                       match=r"^line 2: endpoint out of range for n=3$"):
+        parse_graph("3 2\n0 9223372036854775808\n1 2\n")
+    assert results == [None]
+
+
+# text pieces the one-scan reader must refuse or read exactly as the line
+# reader does: blanks and line breaks of every kind, comments, signs,
+# digit separators, decimals, non-ASCII digits and tokens at the int64 edge
+NOISE = ["\t", "\r\n", "\r", "\x0b", "\x0c", "  ", " ", "\n", "\n\n", "# n\n",
+         "c n\n", "+", "-", "_", ".5", "١", "9" * 19, "1" * 20, "0"]
+WHOLE_TEXT = {
+    "tabs": lambda text: text.replace(" ", "\t"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "lone-cr": lambda text: text.replace("\n", "\r"),
+    "leading-blanks": lambda text: text.replace("\n", "\n "),
+    "trailing-blanks": lambda text: text.replace("\n", " \n"),
+    "blank-lines": lambda text: text + "\n\n",
+    "no-final-newline": lambda text: text.rstrip("\n"),
+}
+
+
+@st.composite
+def noisy_texts(draw):
+    """Edge-list or DIMACS text in the writer's layout, then mixed with
+    NOISE at drawn places and WHOLE_TEXT changes."""
+    n, edges, directed = draw(edge_lists(max_n=6))
+    g = build_graph(n, edges, directed=directed)
+    if draw(st.booleans()):
+        text = write_edge_list(g)
+    else:
+        src = np.repeat(np.arange(g.n), np.diff(g.indptr))
+        arcs = zip(src, g.indices, g.weights if g.weighted else [1] * g.arc_count)
+        text = f"p sp {n} {g.arc_count}\n" + "".join(
+            f"a {u + 1} {v + 1} {w}\n" for u, v, w in arcs)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))  # insert, or replace one character
+        text = text[:at] + draw(st.sampled_from(NOISE)) + text[at + cut:]
+    for change in draw(st.sets(st.sampled_from(sorted(WHOLE_TEXT)))):
+        text = WHOLE_TEXT[change](text)
+    return text, directed, draw(st.sampled_from([0, 0, 1, 2, -1]))
+
+
+def _parse_outcome(text, directed, scale):
+    try:
+        g = parse_graph(text, directed=directed, weight_scale=scale)
+    except GraphParseError as exc:
+        return str(exc)
+    return (g.n, g.directed, g.indptr.tolist(), g.indices.tolist(),
+            g.weights.tolist() if g.weighted else None)
+
+
+@PROPERTY
+@given(noisy_texts())
+# an arc tag whose line is blank but for a CR must not lend its tag to the
+# untagged line after it
+@example(("p sp 2 2\na \r\n1 2 1\na 2 1 1\n", False, 0))
+# strtoll reads a weight above 2^63 - 1 as 2^63 - 1
+@example(("3 2 w\n0 1 11111111111111111111\n1 2 1\n", False, 0))
+def test_one_scan_reader_matches_the_line_reader(case):
+    graph_module = importlib.import_module("diamest.graph")
+    outcome = _parse_outcome(*case)
+    with mock.patch.object(graph_module, "_table", lambda body, width: None):
+        assert _parse_outcome(*case) == outcome
+
+
+@pytest.mark.parametrize("text", [
+    "3 2\n0 1\n1 2\n",
+    "3 2 w\n0 1 4\n1 2 5\n",
+    "c x\np sp 3 3\na 1 2 4\na 2 3 5\na 3 1 1\n",
+], ids=["edges", "weighted", "dimacs"])
+def test_byte_order_mark_is_skipped(capsys, tmp_path, text):
+    outputs = []
+    for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+        path = tmp_path / name
+        path.write_text(text, encoding=encoding)
+        assert cli._read_graph(str(path), False, 0) == parse_graph(text)
+        assert main(["estimate", "--input", str(path), "--method", "exact"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_corpus_spec_byte_order_mark_is_skipped(tmp_path):
+    marked = tmp_path / "marked.edges"
+    marked.write_text("3 2\n0 1\n1 2\n", encoding="utf-8-sig")
+    spec = f"file={marked},id=g\nfamily=path,n=4\n"
+    corpora = []
+    for name, encoding in (("plain.txt", "utf-8"), ("marked.txt", "utf-8-sig")):
+        path = tmp_path / name
+        path.write_text(spec, encoding=encoding)
+        corpora.append(cli.load_corpus(str(path)))
+        assert main(["bench", "--corpus", str(path), "--methods", "exact"]) == 0
+    assert [name for name, _ in corpora[0]] == ["g", "i001"]
+    assert corpora[0] == corpora[1]
+    assert corpora[0][0][1] == build_graph(3, [(0, 1), (1, 2)])
+
+
 # ---- the DIMACS reader --------------------------------------------------------
 
 @PROPERTY
@@ -304,8 +446,10 @@ def test_clean_dimacs_arcs_are_read_as_one_array(monkeypatch, text, n, arcs):
         return results[-1]
 
     monkeypatch.setattr(graph_module, "_arc_rows", record)
+    scans = _one_scan_results(monkeypatch)
     assert parse_dimacs(text) == build_graph(n, arcs, directed=True)
     assert len(results) == 1 and results[0].tolist() == [list(a) for a in arcs]
+    assert len(scans) == 1 and scans[0] is not None
 
 
 # file text and exact message; captured before arcs went through the array
