@@ -4,11 +4,17 @@ Exit codes: 0 success, 1 usage or input errors, 2 infinite diameter.
 Estimator output goes to stdout as key=value lines; the elapsed time goes
 to stderr so that two runs with the same seed produce byte-identical
 stdout.  Timing always excludes parsing and generation.
+
+The first ``main`` call in a process keeps glibc from handing freed
+blocks under 32 MiB back to the kernel (``mallopt``), so the numpy
+temporaries of one layer or call reuse the pages of the last instead of
+faulting in fresh ones; where libc has no such call, nothing changes.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 import hashlib
 import math
@@ -35,6 +41,18 @@ METHODS = ("two-approx", "aingworth", "rv", "rv-weighted", "dense", "sparse",
 # largest n for which bench runs exact_diameter to fill oracle_d and ratio
 ORACLE_CAP_DEFAULT = 2048
 
+# glibc's mallopt parameters (malloc.h) and the values main pins.  By
+# default glibc returns freed blocks from 128 KiB up to a few MiB to the
+# kernel (munmap, or a trim of the heap top), and the next numpy temporary
+# faults its pages in again.  Its dynamic rule raises both thresholds only
+# as large blocks are freed, up to 32 MiB and twice that; any mallopt of
+# them turns the rule off, so main pins that ceiling.  A lower pin costs
+# more than it saves: at 4 MiB and 8 MiB, a warm aingworth call on directed
+# gnm n = 16384, m = 3n took 60500 minor faults against 5000 unpinned
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_BYTES = 32 << 20
+_TRIM_BYTES = 64 << 20
+
 CSV_HEADER = ["instance", "n", "m", "method", "s", "delta", "htilde", "seed",
               "estimate", "oracle_d", "ratio", "reruns", "millis"]
 
@@ -44,6 +62,21 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+@functools.cache
+def _keep_freed_pages() -> bool:
+    """Pin the allocator thresholds above, once per process; True when
+    libc took both.  A libc without mallopt (macOS, Windows) or one that
+    refuses the values (musl returns 0) is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES) == 1)
 
 
 def _read_graph(path: str, directed: bool, weight_scale: int) -> Graph:
@@ -60,14 +93,18 @@ def _read_graph(path: str, directed: bool, weight_scale: int) -> Graph:
         raise SystemExit(1) from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return convert
 
 
 def _write_file(path: str, text: str):
@@ -293,7 +330,7 @@ def _cmd_bench(args) -> int:
         if m not in METHODS:
             print(f"error: unknown method {m!r}", file=sys.stderr)
             return 1
-    workers = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    workers = args.threads or os.cpu_count() or 1
     if workers > 1 and len(corpus) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(
@@ -403,10 +440,10 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--corpus", required=True, help="corpus spec file")
     p_bench.add_argument("--methods", required=True,
                          help="comma-separated method list")
-    p_bench.add_argument("--reps", type=_positive_int, default=1,
+    p_bench.add_argument("--reps", type=_int_at_least(1), default=1,
                          help="runs per method and instance (>= 1)")
     p_bench.add_argument("--output", default="-", help="CSV path ('-' = stdout)")
-    p_bench.add_argument("--threads", type=int, default=1,
+    p_bench.add_argument("--threads", type=_int_at_least(0), default=1,
                          help="bench worker threads (0 = auto)")
     p_bench.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_DEFAULT,
                          help="largest n for which bench computes the exact diameter")
@@ -437,6 +474,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_pages()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,7 +1,12 @@
 """cli module: subcommands, exit codes, output determinism, CSV schema."""
+import ctypes
 import csv
 import io
+import os
 import re
+import subprocess
+import sys
+import types
 
 import pytest
 
@@ -269,6 +274,19 @@ def test_bench_reps_below_1_is_usage_error(capsys, tmp_path, reps):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("threads", ["-3", "-1"])
+def test_bench_negative_threads_is_usage_error(capsys, tmp_path, threads):
+    # used to mean "auto", as 0 does
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("family=path,n=5\n")
+    code, out, err = _run(capsys, ["bench", "--corpus", str(corpus),
+                                   "--methods", "two-approx",
+                                   "--threads", threads])
+    assert code == 1 and out == ""
+    assert f"argument --threads: must be >= 0, got {threads}" in err
+    assert "Traceback" not in err
+
+
 def test_each_subcommand_takes_only_its_flags(capsys, tmp_path, p10_file):
     flags = {}
     for command in ("estimate", "exact", "bench", "reduce", "gen"):
@@ -527,3 +545,70 @@ def test_fit_time_exponent():
     ns = [1000, 2000, 4000, 8000]
     assert abs(fit_time_exponent(ns, [n ** 2 / 1e6 for n in ns]) - 2.0) < 1e-9
     assert abs(fit_time_exponent(ns, [n ** 1.5 / 1e6 for n in ns]) - 1.5) < 1e-9
+
+
+# one process: gen a 25k-edge graph, then count the minor faults of repeated
+# estimate calls on it
+_WARM_CALLS = """
+import contextlib, io, resource, sys
+from diamest.cli import main
+
+path = sys.argv[1]
+assert main(["gen", "--family", "gnm", "--n", "2500", "--m", "25000",
+             "--seed", "1", "--out", path]) == 0
+argv = ["estimate", "--input", path, "--method", "two-approx"]
+
+def call():
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        assert main(argv) == 0
+
+call()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    call()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or not cli._keep_freed_pages(),
+                    reason="needs a libc that takes glibc's mallopt values")
+def test_warm_calls_reuse_freed_pages(tmp_path):
+    # glibc's default thresholds gave each such call about 530 minor faults
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _WARM_CALLS,
+                           str(tmp_path / "g.edges")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 50 * 5
+
+
+def _no_libc(*args):
+    raise OSError("no such library")
+
+
+def _libc_without(*args):
+    return types.SimpleNamespace()
+
+
+def _libc_refusing(*args):
+    return types.SimpleNamespace(mallopt=lambda param, value: 0)
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, _libc_without, _libc_refusing],
+                         ids=["load-fails", "no-mallopt", "mallopt-refuses"])
+def test_allocator_setting_falls_back_silently(capsys, monkeypatch, p10_file,
+                                               cdll):
+    argv = ["estimate", "--input", p10_file, "--method", "rv", "--seed", "3"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    cli._keep_freed_pages.cache_clear()
+    try:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert cli._keep_freed_pages() is False
+    finally:
+        cli._keep_freed_pages.cache_clear()

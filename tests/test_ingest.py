@@ -291,6 +291,25 @@ def test_edge_list_layouts_are_read_in_one_scan(monkeypatch, layout, weighted, d
     assert len(results) == 1 and results[0] is not None
 
 
+@pytest.mark.parametrize("every", [0, 10], ids=["one-note", "every-10th-line"])
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+def test_comment_lines_between_edges_are_read_in_one_scan(monkeypatch, every,
+                                                          crlf):
+    g = build_graph(40, [(i, (7 * i + 3) % 40) for i in range(40)])
+    lines = write_edge_list(g).splitlines(keepends=True)
+    if every:
+        lines = [line + ("\t# c\n" if k % every == 0 else "")
+                 for k, line in enumerate(lines)]
+    else:
+        lines.insert(len(lines) // 2, "# note\n")
+    text = "".join(lines)
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    results = _one_scan_results(monkeypatch)
+    assert parse_graph(text) == g
+    assert len(results) == 1 and results[0] is not None
+
+
 def test_saturated_token_is_not_read_in_one_scan(monkeypatch):
     # strtoll reads 2^63 as 2^63 - 1, so only the line reader sees the token
     results = _one_scan_results(monkeypatch)
