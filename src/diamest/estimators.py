@@ -22,7 +22,8 @@ from .graph import (Graph, GraphError, InfiniteDiameterError, UNREACHED,
                     finite_diameter_check)
 from .oracle import exact_diameter
 from .search import (IN, OUT, batch_depths, near_sets, nearest_high_degree,
-                     nearest_in_set, nearest_s, search, _gather)
+                     nearest_in_set, nearest_s, search, _gather, _key_dtype,
+                     _runs)
 
 DEFAULT_SAMPLE_CONST = 2.0
 DEFAULT_SAMPLING_EPSILON = 0.5
@@ -30,6 +31,13 @@ DEFAULT_SAMPLING_DELTA = 0.25
 DEFAULT_RERUN_CAP = 64
 
 _FLIP = {OUT: IN, IN: OUT}
+
+# The greedy hitting set makes this many picks at one count by argmax
+# before it settles the rest of that count's vertices in one pass.  Of
+# 1, 2, 4, 8 and 16, 4 kept the greedy on corpus-small's aingworth tables
+# within 1-4% of one argmax per pick and about halved it on the nearset
+# graphs at s = 2 (2-core host).
+_BAND_PICKS = 4
 
 
 class RestartLimitError(RuntimeError):
@@ -173,30 +181,87 @@ def _greedy_hitting_set(members: np.ndarray, n: int) -> np.ndarray:
     holds, per vertex, the number of unhit rows that contain it, and an
     index from each vertex to its rows lets a pick subtract only the
     members of the rows it newly hits.  Setup is O(n s) plus one sort of
-    the n s (vertex, row) keys; each pick costs the members of its new
-    rows plus one O(n) argmax.
+    the n s (vertex, row) keys.
+
+    Picks go by count level, the count of the vertices picked.  A pick
+    costs one O(n) argmax and the members of the rows it newly hits.
+    After _BAND_PICKS picks at one count, the band, every vertex of that
+    count, is settled at once when it is sure to hold _BAND_PICKS more
+    picks.  This is exact: every band vertex has exactly ``top`` unhit
+    rows and counts only fall, so walking the band by id, a vertex is
+    the next greedy pick exactly when no pick made earlier in the walk
+    hit one of its rows.  Its count is then still the largest and every
+    smaller id has been picked or has dropped; a vertex whose row was hit
+    drops below the level and waits for a later one.  The walk starts by
+    taking every band vertex that is the smallest band vertex in each of
+    its rows: no earlier band vertex shares a row with it, so the walk
+    picks it whatever it decides before it, and their rows, disjoint, are
+    hit at once.  Such a level costs one O(n) band scan instead of an
+    argmax per pick; at s = 2 the greedy has about a dozen levels.
     """
     n_sets, s = members.shape
     flat = members.ravel()
     counts = np.bincount(flat, minlength=n)
     # rows_of[start[v]:start[v + 1]] are the rows that contain v; a sort
-    # of (vertex, row) keys is 2-3x as fast as an argsort of the members
-    rows_of = np.sort(flat * n_sets + np.repeat(np.arange(n_sets), s)) % n_sets
+    # of (vertex, row) keys is 2-3x as fast as an argsort of the members;
+    # in int32, where they fit, the sort and the modulo take half as long
+    key = _key_dtype(n * n_sets)
+    rows_of = (np.sort(flat.astype(key, copy=False) * n_sets
+                       + np.repeat(np.arange(n_sets, dtype=key), s))
+               % n_sets).astype(np.intp, copy=False)
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=start[1:])
     covered = np.zeros(n_sets, dtype=bool)
-    picks = []
-    while True:
-        pick = int(counts.argmax())
-        if counts[pick] <= 0:  # every row is hit
-            break
-        picks.append(pick)
-        rows = rows_of[start[pick]:start[pick + 1]]
-        rows = rows[~covered[rows]]
+
+    def hit(rows):
         covered[rows] = True
         # against a length-n bincount per pick: 1.5-1.8x as fast at s = 2
         # (n = 4096, 16384), within 5% at s = 64 and 128
         np.subtract.at(counts, members[rows].ravel(), 1)
+
+    def settle(band, top):
+        """The picks of the whole band at count ``top``, in id order."""
+        # its unhit rows, sorted by (row, owner), show which vertices lead
+        # every row they are in
+        cnt = start[band + 1] - start[band]
+        rows = rows_of[_runs(start[band], cnt)]
+        owner = np.repeat(np.arange(band.size), cnt)
+        live = ~covered[rows]
+        rows, owner = rows[live], owner[live]
+        pair = np.sort(rows * band.size + owner)
+        row = pair // band.size
+        late = np.zeros(band.size, dtype=bool)
+        late[(pair - row * band.size)[1:][row[1:] == row[:-1]]] = True
+        hit(rows[~late[owner]])
+        taken = band[~late].tolist()
+        band = band[late]
+        for v in band[counts[band] == top].tolist():
+            if counts[v] == top:
+                rows = rows_of[start[v]:start[v + 1]]
+                hit(rows[~covered[rows]])
+                taken.append(v)
+        return sorted(taken)
+
+    picks = []
+    level, run = n_sets + 1, 0  # the count of the last pick, and its picks
+    while True:
+        pick = int(counts.argmax())
+        top = counts[pick]
+        if top <= 0:  # every row is hit
+            break
+        if top < level:
+            level, run = top, 0
+        elif run == _BAND_PICKS:
+            # each pick rejects at most top * (s - 1) band vertices, so the
+            # band holds at least band.size / (top * (s - 1) + 1) picks
+            band = np.flatnonzero(counts == top)
+            if band.size >= _BAND_PICKS * (top * (s - 1) + 1):
+                picks += settle(band, top)
+                continue
+        rows = rows_of[start[pick]:start[pick + 1]]
+        hit(rows[~covered[rows]])
+        picks.append(pick)
+        run += 1
     return np.asarray(picks, dtype=np.int64)
 
 
@@ -206,21 +271,30 @@ def _aingworth_sweep(g: Graph, s: int):
     Computes every vertex's s-nearest out-set, searches outward from the
     vertex with the largest near-set radius, inward from that vertex's
     near set, and outward from a greedy hitting set of all near sets.
-    Returns (tracker, members, member_dists); the latter two let callers
-    reuse the truncated trees.
+    One OUT batch serves w and the hitters.  On an undirected graph
+    in-trees are out-trees, so that batch serves the near set too; the
+    offers keep their order and their IN and OUT labels.  Returns
+    (tracker, members, member_dists); the latter two let callers reuse
+    the truncated trees.
     """
     members, mdists = _near_sets_all(g, s)
     radii = mdists[:, -1]
     w = int(np.argmax(radii))
     hitters = _greedy_hitting_set(members, g.n)
-    # one OUT batch serves w and the hitters; the offers still go w, near
-    # set of w, hitters, the order that decides ties between equal depths
-    out_depths = batch_depths(g, np.concatenate(([w], hitters)), OUT)
-    tracker = _Deepest()
-    tracker.offer(int(out_depths[0]), w, OUT)
     near_w = members[w]
-    tracker.offer_batch(batch_depths(g, near_w, IN), near_w, IN)
-    tracker.offer_batch(out_depths[1:], hitters, OUT)
+    if g.directed:
+        out = batch_depths(g, np.concatenate(([w], hitters)), OUT)
+        w_depth, hit_depths = out[0], out[1:]
+        in_depths = batch_depths(g, near_w, IN)
+    else:
+        d = batch_depths(g, np.concatenate(([w], near_w, hitters)), OUT)
+        w_depth, in_depths, hit_depths = d[0], d[1:s + 1], d[s + 1:]
+    # the offers go w, near set of w, hitters: the order that decides
+    # ties between equal depths
+    tracker = _Deepest()
+    tracker.offer(int(w_depth), w, OUT)
+    tracker.offer_batch(in_depths, near_w, IN)
+    tracker.offer_batch(hit_depths, hitters, OUT)
     return tracker, members, mdists
 
 

@@ -107,6 +107,12 @@ def _per_chunk(unit_bytes):
     return max(1, _CHUNK_BYTES // max(1, unit_bytes))
 
 
+def _key_dtype(span):
+    """int32 when every key in [0, span) fits it, else int64.  Narrower
+    keys sort about twice as fast and take half the memory."""
+    return np.dtype(np.int32 if span < 1 << 31 else np.int64)
+
+
 def _runs(starts, counts):
     """Positions starts[i], ..., starts[i] + counts[i] - 1 for every i in
     turn: the entries of a gather of CSR rows."""
@@ -122,12 +128,16 @@ def _gather(indptr, indices, frontier):
     return indices[_runs(starts, counts)], counts
 
 
-def _unique(a):
-    """Sorted distinct values of the nonnegative ``a``.  np.unique hashes
-    before it sorts (numpy >= 2.3), which is 10-20x slower on arrays of a
-    few thousand entries."""
-    a = np.sort(a)
-    return a[np.diff(a, prepend=-1) != 0]
+def _unique(a, span):
+    """Sorted distinct values of ``a``, all in [0, span), as intp.  The
+    sort runs in int32 when ``span`` allows, about twice as fast as in
+    int64; np.unique hashes before it sorts (numpy >= 2.3), which is
+    10-20x slower on arrays of a few thousand entries."""
+    a = np.sort(a.astype(_key_dtype(span), copy=False))
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep].astype(np.intp, copy=False)
 
 
 def _row_runs(rows, fan):
@@ -151,19 +161,27 @@ def _near_bfs(indptr, indices, n, sources, s, members, dists):
     gathers their out-arcs, drops pairs already seen and sorts the rest by
     the key row * n + vertex, so each row's new level comes out by
     ascending id and is trimmed to the row's free slots, as a single-source
-    search settling in (distance, id) order would.
+    search settling in (distance, id) order would; the sort runs in int32
+    when a chunk's seen map, which the keys index, has under 2^31
+    entries.  The seen map is allocated once: a chunk sets only the keys
+    of its members, so the next chunk clears just those.
     """
-    if s == 1:
+    if s == 1 or sources.size == 0:
         return
     fan = np.diff(indptr)
-    k = _per_chunk(n)  # a seen map of n bools per source
+    k = min(_per_chunk(n), sources.size)  # a seen map of n bools per source
+    seen = np.zeros(k * n, dtype=bool)
+    ids = np.arange(k)
     for lo in range(0, sources.size, k):
+        if lo:
+            done = members[lo - k:lo]
+            seen[(ids[:, None] * n + done)[done >= 0]] = False
         front = sources[lo:lo + k]
-        rows = np.arange(front.size, dtype=np.int64)
+        rows = chunk = ids[:front.size]
+        edges = np.arange(front.size + 1) * n  # row i: [edges[i], edges[i + 1])
         out = members[lo:lo + front.size].reshape(-1)
         out_d = dists[lo:lo + front.size].reshape(-1)
-        seen = np.zeros(front.size * n, dtype=bool)
-        seen[rows * n + front] = True
+        seen[edges[:-1] + front] = True
         count = np.ones(front.size, dtype=np.int64)
         level = 0
         while front.size:
@@ -173,13 +191,14 @@ def _near_bfs(indptr, indices, n, sources, s, members, dists):
             for a, b in zip(runs, runs[1:]):
                 nbrs, got = _gather(indptr, indices, front[a:b])
                 key = np.repeat(rows[a:b], got) * n + nbrs
-                key = _unique(key[~seen[key]])
-                row = key // n
-                # slot of each new pair: its rank in its row plus the
+                key = _unique(key[~seen[key]], seen.size)
+                # each row's new pairs, by one search of the row edges;
+                # the slot of a pair is its rank in its row plus the
                 # row's members so far
-                per = np.bincount(row, minlength=count.size)
-                slot = (np.arange(key.size) - (np.cumsum(per) - per)[row]
-                        + count[row])
+                bound = np.searchsorted(key, edges)
+                per = np.diff(bound)
+                row = np.repeat(chunk, per)
+                slot = np.arange(key.size) + np.repeat(count - bound[:-1], per)
                 if key.size and slot.max() >= s:
                     keep = slot < s
                     key, row, slot = key[keep], row[keep], slot[keep]
@@ -387,10 +406,9 @@ def nearest_in_set(g: Graph, members, direction: str = OUT) -> np.ndarray:
     members = np.asarray(members, dtype=np.int64).reshape(-1)
     if members.size == 0:
         raise ValueError("member set must be nonempty")
-    # before deduplicating: _unique drops a leading -1
     if members.min() < 0 or members.max() >= g.n:
         raise ValueError("member out of range")
-    return _search_from(h, _unique(members))[0]
+    return _search_from(h, _unique(members, g.n))[0]
 
 
 def nearest_high_degree(g: Graph, degree: int) -> np.ndarray:

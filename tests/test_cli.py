@@ -1,6 +1,7 @@
 """cli module: subcommands, exit codes, output determinism, CSV schema."""
 import ctypes
 import csv
+import hashlib
 import io
 import os
 import re
@@ -12,8 +13,9 @@ import pytest
 
 import diamest.cli as cli
 import diamest.estimators as estimators
-from diamest import (RestartLimitError, exact_diameter, parse_edge_list,
-                     parse_graph, sampled_estimate, write_edge_list)
+from diamest import (GenSpec, RestartLimitError, exact_diameter, generate,
+                     parse_edge_list, parse_graph, sampled_estimate,
+                     write_edge_list)
 from diamest.cli import CSV_HEADER, load_corpus, main
 from helpers import (fit_time_exponent, parse_metadata, path_graph,
                      star_graph)
@@ -61,6 +63,36 @@ def test_estimate_all_methods_run(capsys, p10_file):
         value = int(next(l for l in out.splitlines()
                          if l.startswith("value=")).split("=")[1])
         assert value <= 9
+
+
+# sha256 over (argv, exit code, stdout) of every method at seeds 1 and 2 on
+# each graph: values, witnesses and parameters stay byte-identical as the
+# kernels change.  A method that rejects a graph pins its exit code.
+ESTIMATE_PINNED = [
+    (GenSpec("gnm", 300, m=750, seed=11),
+     "7f796ae23d59711851e5dba096eb874dd4ace7bdad6d5a16db7be7c2b44322d4"),
+    (GenSpec("gnm", 200, m=600, seed=12, directed=True),
+     "f9f8212ac0d45870f330408c89044ecf73315b6f07348caca41512a9363c2b97"),
+    (GenSpec("gnm", 120, m=360, seed=13, directed=True, weight_range=(1, 9)),
+     "0467d5cad51c312cfc788ae462b66c0eb70486f696790d5c6970216db3f65218"),
+    (GenSpec("barbell", 53, clique=12, path_len=30),
+     "614e90aad45889c5f7b348b4721403317f442bee586218e6ae575a0fa92e000c"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", ESTIMATE_PINNED)
+def test_estimate_stdout_is_pinned(capsys, tmp_path, spec, digest):
+    path = tmp_path / "g.edges"
+    path.write_text(write_edge_list(generate(spec)))
+    flags = ["--directed"] if spec.directed else []
+    record = hashlib.sha256()
+    for method in cli.METHODS:
+        for seed in ("1", "2"):
+            argv = ["estimate", "--input", str(path), *flags,
+                    "--method", method, "--seed", seed]
+            code, out, _ = _run(capsys, argv)
+            record.update(f"{argv[3:]}\n{code}\n{out}".encode())
+    assert record.hexdigest() == digest
 
 
 def test_estimate_infinite_diameter_exit_2(capsys, tmp_path):

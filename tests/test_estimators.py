@@ -12,11 +12,13 @@ from diamest import (IN, OUT, Estimate, GenSpec, GraphError,
                      sampled_estimate_weighted, sampling_estimate,
                      sparse_driver, sparse_estimate, two_approx)
 from diamest.estimators import _greedy_hitting_set, _near_sets_all
+from diamest.search import batch_depths
 from helpers import (complete_graph, cycle_graph, decompose,
                      dense_pairs_reference, fw_apsp,
                      greedy_hitting_set_reference, path_graph, random_graph,
                      star_graph)
 
+estimators_module = importlib.import_module("diamest.estimators")
 search_module = importlib.import_module("diamest.search")
 
 
@@ -222,6 +224,91 @@ def test_hitting_set_on_near_sets():
             _check_hitting_set(_near_sets_all(g, s)[0], g.n)
 
 
+@st.composite
+def _tie_tables(draw):
+    """Tables of sets of 1 or 2 vertices, many rows each: counts tie in
+    large bands."""
+    n = draw(st.integers(2, 40))
+    s = draw(st.integers(1, 2))
+    rows = draw(st.lists(st.permutations(range(n)), min_size=n,
+                         max_size=4 * n))
+    return np.array([row[:s] for row in rows], dtype=np.int64), n
+
+
+# every band settled in one pass from its second pick on, and the default
+BAND_PICKS = [1, estimators_module._BAND_PICKS]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_tie_tables(), st.sampled_from(BAND_PICKS))
+def test_hitting_set_on_large_ties_matches_reference(table, picks):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators_module, "_BAND_PICKS", picks)
+        _check_hitting_set(*table)
+
+
+def test_hitting_set_bands_on_near_sets_of_random_graphs(monkeypatch):
+    # n up to 300 at s = 2 gives levels of dozens of picks; int64 keys
+    # must pick the same
+    rng = np.random.default_rng(233)
+    wide = lambda span: np.dtype(np.int64)
+    for i in range(16):
+        n = int(rng.integers(20, 300))
+        g = random_graph(rng, n, int(rng.integers(n, 4 * n)),
+                         directed=bool(i % 2), connected=True)
+        for s in sorted({1, 2, int(np.ceil(np.sqrt(n)))}):
+            members = _near_sets_all(g, s)[0]
+            want = greedy_hitting_set_reference(members, n)
+            for picks in BAND_PICKS:
+                monkeypatch.setattr(estimators_module, "_BAND_PICKS", picks)
+                assert np.array_equal(_greedy_hitting_set(members, n), want)
+            monkeypatch.setattr(estimators_module, "_key_dtype", wide)
+            assert np.array_equal(_greedy_hitting_set(members, n), want)
+            monkeypatch.undo()
+
+
+# ---- the near-set sweep -------------------------------------------------------
+
+def _two_batch_sweep(g, s):
+    """The sweep with an OUT batch for w and the hitters and an IN batch
+    for w's near set, on any graph; returns (depth, witness)."""
+    members, mdists = _near_sets_all(g, s)
+    w = int(np.argmax(mdists[:, -1]))
+    hitters = _greedy_hitting_set(members, g.n)
+    out = batch_depths(g, np.concatenate(([w], hitters)), OUT)
+    tracker = estimators_module._Deepest()
+    tracker.offer(int(out[0]), w, OUT)
+    tracker.offer_batch(batch_depths(g, members[w], IN), members[w], IN)
+    tracker.offer_batch(out[1:], hitters, OUT)
+    return tracker.depth, tracker.witness()
+
+
+def test_undirected_sweep_runs_one_batch(monkeypatch):
+    directions = []
+    real = search_module.batch_search_stats
+
+    def spy(g, sources, direction):
+        directions.append(direction)
+        return real(g, sources, direction)
+
+    rng = np.random.default_rng(239)
+    for i in range(60):
+        n = int(rng.integers(2, 70))
+        directed = bool(i % 3 == 0)
+        g = random_graph(rng, n, int(rng.integers(n, 3 * n)),
+                         directed=directed, connected=True)
+        s = int(rng.integers(1, n + 1))
+        want = _two_batch_sweep(g, s)
+        with monkeypatch.context() as patch:
+            patch.setattr(search_module, "batch_search_stats", spy)
+            directions.clear()
+            tracker = estimators_module._aingworth_sweep(g, s)[0]
+        assert (tracker.depth, tracker.witness()) == want
+        assert directions == ([OUT, IN] if directed else [OUT])
+        est = aingworth(g, s)
+        assert (est.value, est.witness) == want
+
+
 # ---- sampled (Las Vegas) estimator -----------------------------------------
 
 def test_sampled_full_coverage_is_exact():
@@ -383,8 +470,6 @@ def test_recompute_witness_rejects_forged_pairs():
 
 
 def test_dense_builds_bitsets_only_for_survivors(monkeypatch):
-    import diamest.estimators as estimators_module
-
     def refuse(*args, **kwargs):
         raise AssertionError("bitset built")
 
@@ -544,7 +629,6 @@ _FULL_COVER = [
 @pytest.mark.parametrize("name, run, premise", _FULL_COVER,
                          ids=[name for name, _, _ in _FULL_COVER])
 def test_full_cover_stops_after_the_out_batch(monkeypatch, name, run, premise):
-    import diamest.estimators as estimators_module
     directions = []
     real = search_module.batch_search_stats
 

@@ -17,7 +17,7 @@ from diamest import (IN, OUT, GenSpec, InfiniteDiameterError, build_graph,
 from diamest.estimators import _near_sets_all
 from diamest.graph import UNREACHED
 from diamest.search import near_sets
-from helpers import cycle_graph, fw_apsp, path_graph
+from helpers import cycle_graph, fw_apsp, path_graph, random_graph
 
 search_module = importlib.import_module("diamest.search")
 
@@ -142,6 +142,43 @@ def test_kernels_on_deep_and_disconnected_graphs(g):
     for values in (MSBFS, PER_SOURCE):
         with caps(**values):
             _check_batch_stats(g, np.arange(g.n))
+
+
+def test_near_sets_reuse_the_seen_map_across_chunks(monkeypatch):
+    # chunks of 1, 3 and 7 sources, the last one short, over random graphs
+    # and rows that never fill; each chunk clears the keys of the last,
+    # and int64 keys must sort the same
+    rng = np.random.default_rng(241)
+    graphs = [random_graph(rng, n, 2 * n, directed=bool(n % 2),
+                           connected=bool(n % 3)) for n in range(20, 60, 4)]
+    graphs.append(build_graph(30, [(i, i + 1) for i in range(29) if i % 7],
+                              directed=True))
+    wide = lambda span: np.dtype(np.int64)
+    for g in graphs:
+        sources = np.concatenate((rng.permutation(g.n), rng.integers(0, g.n, 9)))
+        for s in sorted({2, 3, int(np.ceil(np.sqrt(g.n))), g.n}):
+            want = _near_reference(g, sources, s, OUT)
+            for rows in (1, 3, 7):
+                with caps(_CHUNK_BYTES=rows * g.n):
+                    got = near_sets(g, sources, s)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(search_module, "_key_dtype", wide)
+                        assert all(map(np.array_equal, got,
+                                       near_sets(g, sources, s)))
+                assert np.array_equal(got[0], want[0]), (g, s, rows)
+                assert np.array_equal(got[1], want[1]), (g, s, rows)
+
+
+def test_key_dtype_turns_wide_at_2_to_31():
+    key_dtype = search_module._key_dtype
+    assert key_dtype(0) == key_dtype(2 ** 31 - 1) == np.int32
+    assert key_dtype(2 ** 31) == key_dtype(3037000499 ** 2) == np.int64
+    # keys past int32 sort as int64 and come back as intp
+    unique = search_module._unique
+    got = unique(np.array([2 ** 40, 3, 2 ** 31, 3, 2 ** 40]), 2 ** 41)
+    assert got.tolist() == [3, 2 ** 31, 2 ** 40] and got.dtype == np.intp
+    got = unique(np.array([5, 0, 5, 2 ** 31 - 2]), 2 ** 31 - 1)
+    assert got.tolist() == [0, 5, 2 ** 31 - 2] and got.dtype == np.intp
 
 
 # a weighted path whose one heavy arc takes several doublings of the
