@@ -7,7 +7,10 @@ post-processed to guarantee a finite diameter: after a few resampling
 attempts a random Hamiltonian backbone is overlaid (a path for undirected
 graphs, a cycle for directed ones, which plain paths cannot make strongly
 connected).  An attempt that leaves some vertex without an arc cannot
-connect, so it builds no graph.
+connect, so it builds no graph.  The structured families (path, cycle,
+star, complete, grid, barbell) build their edges as one array with numpy
+calls, so like gnm and gnp they hand build_graph an array without a
+per-edge Python loop.
 """
 from __future__ import annotations
 
@@ -197,34 +200,34 @@ def _random_family(spec: GenSpec, rng) -> Graph:
     return g
 
 
+def _path_edges(first: int, last: int) -> np.ndarray:
+    """The edges (i, i + 1) for i in [first, last), as an array."""
+    i = np.arange(first, last, dtype=np.int64)
+    return np.column_stack((i, i + 1))
+
+
 def _structured_family(spec: GenSpec) -> Graph:
     n = spec.n
     fam = spec.family
     if fam == "path":
-        return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        return build_graph(n, _path_edges(0, n - 1))
     if fam == "cycle":
-        edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 or spec.directed \
-            else [(i, i + 1) for i in range(n - 1)]
-        return build_graph(n, edges, directed=spec.directed)
+        # at n = 2 an undirected cycle's two edges collapse to one
+        i = np.arange(n, dtype=np.int64)
+        return build_graph(n, np.column_stack((i, np.roll(i, -1))),
+                           directed=spec.directed)
     if fam == "star":
-        return build_graph(n, [(0, i) for i in range(1, n)])
+        return build_graph(n, np.column_stack((np.zeros(n - 1, dtype=np.int64),
+                                               np.arange(1, n))))
     if fam == "complete":
-        if spec.directed:
-            edges = [(u, v) for u in range(n) for v in range(n) if u != v]
-        else:
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = (np.argwhere(~np.eye(n, dtype=bool)) if spec.directed
+                 else np.column_stack(np.triu_indices(n, 1)))
         return build_graph(n, edges, directed=spec.directed)
     if fam == "grid":
-        rows, cols = _grid_dims(n)
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                v = r * cols + c
-                if c + 1 < cols:
-                    edges.append((v, v + 1))
-                if r + 1 < rows:
-                    edges.append((v, v + cols))
-        return build_graph(n, edges)
+        ids = np.arange(n, dtype=np.int64).reshape(_grid_dims(n))
+        edges = [np.column_stack((a.ravel(), b.ravel()))
+                 for a, b in ((ids[:, :-1], ids[:, 1:]), (ids[:-1], ids[1:]))]
+        return build_graph(n, np.concatenate(edges))
     if fam == "barbell":
         if spec.clique is None and spec.path_len is None:
             if n < 4:
@@ -237,19 +240,15 @@ def _structured_family(spec: GenSpec) -> Graph:
         if c < 2 or bridge < 1:
             raise ValueError("barbell needs clique >= 2 and path_len >= 1")
         total = 2 * c + bridge - 1
-        if spec.clique is not None and n != total:
+        if n != total:
             raise ValueError(
                 f"barbell with clique={c}, path_len={bridge} has {total} "
                 f"vertices, but n={n} was given")
-        edges = []
-        for u in range(c):
-            for v in range(u + 1, c):
-                edges.append((u, v))
-                edges.append((c + bridge - 1 + u, c + bridge - 1 + v))
-        # bridge from the last vertex of clique A to the first of clique B
-        chain = [c - 1] + list(range(c, c + bridge - 1)) + [c + bridge - 1]
-        edges.extend((chain[i], chain[i + 1]) for i in range(len(chain) - 1))
-        return build_graph(total, edges)
+        clique = np.column_stack(np.triu_indices(c, 1))
+        # clique A, clique B and the bridge from the last vertex of A to
+        # the first of B
+        return build_graph(n, np.concatenate(
+            (clique, clique + c + bridge - 1, _path_edges(c - 1, c + bridge - 1))))
     raise AssertionError(fam)
 
 

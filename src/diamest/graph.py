@@ -7,17 +7,22 @@ logical edge count ``m`` counts each undirected edge once.
 
 Every graph is built by one array core, :func:`build_graph`: an edge
 array goes through the range, weight and 2^53 checks, symmetrization,
-sorting and deduplication as whole-array operations.  The text readers
-find the header line by line and then check the layout of the whole body
-with bytes methods: when it is one row of plain decimal integers per line,
-parted by blanks and tabs, a single ``np.fromstring`` scan reads it as an
-int64 array (a body in any spacing but the writer's is first brought to
-it with bytes replaces, after comment lines are dropped).  Any other body
-(signs, decimal weights, an endpoint out of range, a bad line) is read
-line by line, which gives the same graph or names the first bad line.
-Full weighted searches then run scipy's Dijkstra (see
-:mod:`diamest.search`), so no per-edge Python loop runs between reading a
-clean file and its first full search.
+sorting and deduplication as whole-array operations.  Both text formats
+share one array reader into it.  Each finds its header line by line; the
+reader then drops the body's comment lines (``#`` in an edge list, ``c``
+in DIMACS) and checks the layout of the whole body with bytes methods.
+When every line is the format's record tag (none for an edge list, ``a``
+for a DIMACS arc) and then one row of plain decimal integers, parted by
+blanks and tabs, the tags are stripped and a single ``np.fromstring`` scan
+reads the rows as an int64 array (a body in any spacing but the writer's
+is first brought to it with bytes replaces); 1-indexed DIMACS endpoints
+are then shifted down.  Any other body (signs, decimal weights, an
+endpoint out of range, a bad line) is read line by line by the format's
+own reader, whose tokens are those of Python's ``int`` and ``Decimal``;
+it gives the same graph or names the first bad line.  Full weighted
+searches then run scipy's Dijkstra (see :mod:`diamest.search`), so no
+per-edge Python loop runs between reading a clean file and its first full
+search.
 
 All arrays are made read-only after construction, so a Graph can be shared
 freely between concurrent searches.  The reverse graph and the scipy
@@ -46,16 +51,12 @@ _INT64_MAX = np.iinfo(np.int64).max
 # the line breaks of str.splitlines, which numbers the lines of a text
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _BREAK = re.compile(f"\r\n|[{_BREAKS}]")
-# DIMACS arc bodies are matched with a "\n" put before their first line,
-# so that each pattern starts with a literal the regex engine skips to:
-# the record tag that starts an arc line "a u v w", with its blanks; the
-# digit after it keeps a tagged line from being taken for a blank one
-_ARC_TAG = re.compile(r"\n[ \t]*a[ \t]+(?=[0-9])")
-# a line without a record, blank or a "c" comment, and the break before it;
-# a comment ends at the first line break, which must be a "\n"
-_DIMACS_NOTE = re.compile(f"\n[ \t]*(?:c[^{_BREAKS}]*)?\r?(?=\n|\\Z)")
-# a "#" comment line of an edge-list body, matched as _DIMACS_NOTE is
-_EDGE_NOTE = re.compile(f"\n[ \t]*#[^{_BREAKS}]*\r?(?=\n|\\Z)")
+# a comment line of a body, "#" for edge lists and "c" for DIMACS, with
+# the break before it; the body is matched with a "\n" put before its first
+# line, so the pattern starts with a literal the regex engine skips to.  A
+# comment ends at the first line break, which must be a "\n"
+_NOTE = {mark: re.compile(f"\n[ \t]*{mark}[^{_BREAKS}]*\r?(?=\n|\\Z)")
+         for mark in "#c"}
 # digits deleted and tabs made blanks, a table leaves only its separators
 _TAB_TO_BLANK = bytes.maketrans(b"\t", b" ")
 # tabs made blanks and every ASCII line break a "\n"
@@ -362,28 +363,34 @@ def _first_record(text: str, comment: str):
     return None
 
 
-def _table(body: str, width: int):
-    """The body as an (m, width) int64 array when it is m lines of width
-    unsigned decimal integers below 2^63 - 1, parted by blanks and tabs,
-    with blank lines anywhere and any line breaks of str.splitlines but
-    the non-ASCII ones; None for every other layout.  One C scan reads the
-    values."""
+def _table(body: str, width: int, tag: bytes):
+    """The body as an (m, width) int64 array when it is m lines, each the
+    record ``tag`` and then width unsigned decimal integers below
+    2^63 - 1, parted by blanks and tabs, with blank lines anywhere and any
+    line breaks of str.splitlines but the non-ASCII ones; None for every
+    other layout.  One C scan reads the values."""
     data = body.encode("ascii", "replace").strip()
     if b"\r" in data:  # a replace that finds nothing still costs a scan
         data = data.replace(b"\r\n", b"\n")
     # the writer's layout is read as it stands; any other spacing is first
     # brought to it
-    rows = _scan(data, width)
-    return rows if rows is not None else _scan(_tidy(data), width)
+    rows = _scan(data, width, tag)
+    return rows if rows is not None else _scan(_tidy(data), width, tag)
 
 
-def _scan(data: bytes, width: int):
-    """``data`` as an (m, width) int64 array when it is m lines of width
-    unsigned decimal integers below 2^63 - 1, each parted from the next by
-    one blank or tab, and its lines are parted by one line feed; None
-    otherwise."""
+def _scan(data: bytes, width: int, tag: bytes):
+    """``data`` as an (m, width) int64 array when it is m lines, each the
+    record ``tag`` and then width unsigned decimal integers below
+    2^63 - 1, each parted from the next by one blank or tab, and its lines
+    are parted by one line feed; None otherwise."""
     if not data:
         return np.empty((0, width), dtype=np.int64)
+    if tag:
+        # every line starts with the tag, which leaves with its blank; a
+        # tag anywhere else is then no separator and fails the check below
+        if not data.startswith(tag) or data.count(b"\n" + tag) != data.count(b"\n"):
+            return None
+        data = data[len(tag):].replace(b"\n" + tag, b"\n")
     seps = data.translate(_TAB_TO_BLANK, b"0123456789")
     lines = seps.count(b"\n") + 1
     if seps + b"\n" != (b" " * (width - 1) + b"\n") * lines:
@@ -411,22 +418,29 @@ def _tidy(data: bytes) -> bytes:
     return data.strip()
 
 
-def _edge_rows(body: str, n: int, width: int, scale: int):
-    """The edge lines as one (m, width) int64 array, or None when the body
-    needs the line-by-line reader: a token that is not a plain integer, an
-    endpoint out of range or a scaled-out weight.  Whole-line comments are
-    dropped first."""
-    if "#" in body:
-        body = _EDGE_NOTE.sub("", "\n" + body)
-    rows = _table(body, width)
+def _edge_rows(body: str, n: int, width: int, scale: int, mark: str,
+               tag: bytes, base: int):
+    """The records of a body as one (m, width) int64 array of 0-indexed
+    edges, or None when the body needs the line-by-line reader: a line
+    without the record ``tag``, a token that is not a plain integer, an
+    endpoint outside [base, n + base) or a scaled-out weight.  Whole-line
+    comments, which start with ``mark``, are dropped first."""
+    if mark in body:
+        body = _NOTE[mark].sub("", "\n" + body)
+    rows = _table(body, width, tag)
     if rows is None or not len(rows):
         return rows
-    if max(rows[:, 0].max(), rows[:, 1].max()) >= n:
+    u, v = rows[:, 0], rows[:, 1]
+    # endpoints are read unsigned, so only a base above 0 needs the minimum
+    if max(u.max(), v.max()) >= n + base or base and min(u.min(), v.min()) < base:
         return None
-    if width == 3:
+    if base:
+        u -= base
+        v -= base
+    if width == 3 and scale:
         # scaled weights must stay int64; 10^18 is the largest int64 scale
         w = rows[:, 2]
-        if not 0 <= scale <= 18 or int(w.max()) * 10 ** scale > _INT64_MAX:
+        if not 0 < scale <= 18 or int(w.max()) * 10 ** scale > _INT64_MAX:
             return None
         w *= 10 ** scale
     return rows
@@ -483,7 +497,7 @@ def parse_edge_list(text: str, directed: bool = False, weight_scale: int = 0) ->
         raise GraphParseError(f"line {lineno}: bad header {line!r}") from None
     width = 3 if len(parts) == 3 else 2
     body = text[end:]
-    edges = _edge_rows(body, n, width, weight_scale)
+    edges = _edge_rows(body, n, width, weight_scale, "#", b"", 0)
     if edges is None:
         edges = _edge_lines(body.splitlines(), lineno + 1, n, width, weight_scale)
     if len(edges) != declared_m:
@@ -520,32 +534,15 @@ def write_edge_list(g: Graph) -> str:
     return "".join(parts)
 
 
-def _arc_rows(body: str, n: int):
-    """DIMACS arc lines as one (m, 3) int64 array of 0-indexed arcs, or
-    None when some line needs the line-by-line reader: one that is neither
-    blank, a ``c`` comment nor an ``a`` record, an endpoint out of [1, n]
-    or any layout _table refuses."""
-    text, tags = _ARC_TAG.subn("\n", _DIMACS_NOTE.sub("", "\n" + body))
-    rows = _table(text, 3)
-    # every line left is one row, so a row for each tag means none lacks one
-    if rows is None or len(rows) != tags:
-        return None
-    u, v = rows[:, 0], rows[:, 1]
-    if tags and (min(u.min(), v.min()) < 1 or max(u.max(), v.max()) > n):
-        return None
-    u -= 1
-    v -= 1
-    return rows
-
-
 def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS shortest-path file: ``p sp n m`` header and
     ``a u v w`` arcs, 1-indexed.  Produces a directed weighted graph.
 
-    When nothing but arcs, blank lines and comments follows the problem
-    line, the arcs are read in one scan, as an edge-list body is; any other
-    file (a second problem line, errors) is read one record at a time,
-    which names the first bad line.
+    The arcs go through the edge-list reader's array path, with the
+    record tag ``a`` and 1-indexed endpoints: when nothing but arcs, blank
+    lines and ``c`` comments follows the problem line, they are read in one
+    scan.  Any other file (a second problem line, errors) is read one
+    record at a time, which names the first bad line.
     """
     first = _first_record(text, "c")
     parts = first[1].split() if first else []
@@ -553,7 +550,7 @@ def parse_dimacs(text: str) -> Graph:
         n = int(parts[2]) if len(parts) == 4 and parts[:2] == ["p", "sp"] else None
     except ValueError:
         n = None
-    rows = None if n is None else _arc_rows(text[first[2]:], n)
+    rows = None if n is None else _edge_rows(text[first[2]:], n, 3, 0, "c", b"a ", 1)
     if rows is None:
         n, rows = _dimacs_lines(text.splitlines())
     return _parsed_graph(n, rows, True)

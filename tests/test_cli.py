@@ -207,6 +207,8 @@ def test_huge_vertex_count_exit_1(capsys, tmp_path):
      "m must be >= 0, got -1"),
     (["gen", "--family", "bounded_degree", "--n", "5", "--max-degree", "3",
       "--m", "-3"], "m must be >= 0, got -3"),
+    (["gen", "--family", "barbell", "--n", "100", "--path-len", "3"],
+     "error: barbell with clique=2, path_len=3 has 6 vertices, but n=100 was given"),
     (["estimate", "--input", "{latin1}", "--method", "exact"],
      "cannot read {latin1}"),
     (["exact", "--input", "{latin1}"], "cannot read {latin1}"),
@@ -220,6 +222,7 @@ def test_huge_vertex_count_exit_1(capsys, tmp_path):
      "corpus line 1: weights must be LO:HI integers, got 'abc'"),
 ], ids=["bench-missing-corpus", "bench-corpus-not-utf8", "gen-out-no-dir",
         "reduce-out-no-dir", "gen-negative-m", "bounded-degree-negative-m",
+        "gen-barbell-n-mismatch",
         "estimate-not-utf8", "exact-not-utf8",
         "sparse-infinite-delta", "rv-infinite-sample-const",
         "gen-bad-weights", "bench-corpus-bad-weights"])

@@ -43,6 +43,11 @@ def test_barbell_family():
     assert default.n == 15
     with pytest.raises(ValueError):
         generate(GenSpec("barbell", 10, clique=5, path_len=4))
+    # n is checked when only path_len is given, too; it used to be ignored
+    assert generate(GenSpec("barbell", 6, path_len=3)).n == 6
+    with pytest.raises(ValueError, match=r"^barbell with clique=2, path_len=3 has 6 "
+                                         r"vertices, but n=100 was given$"):
+        generate(GenSpec("barbell", 100, path_len=3))
 
 
 def test_gnm_determinism():
@@ -147,6 +152,33 @@ PINNED = [
      "65d462db4cf0580d5d9bcf69d00ee8ce1c9d47c7d91ea4ed3d2ae54f3531cfc4"),
     (SWEEP, "9539e04345a506cf566e83efe79842e82db3e96b011afb0f5d8b671f9c190b2a"),
     (NEARSET, "7a169b7dc97c024cee6d3f04fd6a33269484cf7581299e9c3c154322e83d2618"),
+    # the structured families, pinned while they were built as tuple lists
+    (GenSpec("path", 130),
+     "4a573a0d8dd9b8b5ec18e76aa3e48041289bb2db9993619c6d2244fd4b1b79db"),
+    (GenSpec("cycle", 96),
+     "3fa3b2a24429815e38db4586a1a47e52c22d9b076a8bb03af9546e59dcf664d7"),
+    (GenSpec("cycle", 96, directed=True),
+     "e22bb7771234512e2f733c0a959db070fa9b3ec441499960a69de3d789b5a759"),
+    (GenSpec("cycle", 2),
+     "4a6ae7226283a4b6277ce3e77a91585c0cad93929046f3c7bd9105d7ed101834"),
+    (GenSpec("star", 7),
+     "ad06cb270fd00884033da41a25508389b3efb9e97fbdd12f94b76f3f91a45af3"),
+    (GenSpec("complete", 6),
+     "3855aca69894c94c7c28e83bbef2440f4b3b44f44fe8567de447989fceb3317e"),
+    (GenSpec("complete", 5, directed=True),
+     "17ef3be649496f72772d9a4da4c29a4be7d97f9fa73b60a7f8fd0f9240eddf2c"),
+    (GenSpec("grid", 96),
+     "dd6136c720b5e24f90e35ffb1aac32681eb40d666e3f704db6fa4bcc88c09e47"),
+    (GenSpec("grid", 7),  # a prime n: one row
+     "cf064f6123409d88031a21cf5fb477cf8363544d74f99e476847bc69525553ac"),
+    (GenSpec("barbell", 96),
+     "5a9cec4501ff658b1f2fee8739c6d451bafc8c390e8ebe276283b1d374fe1d3c"),
+    (GenSpec("barbell", 13, clique=5, path_len=4),
+     "8ed555d5bc96d906bbbc0e0bf42b385a95c996aead75fac463cfc020aef0f8fd"),
+    (GenSpec("barbell", 6, path_len=3),
+     "af5d122d6b87e1e2689d2da7daee968ba55e609551d6e3de49e9f07974afed06"),
+    (GenSpec("grid", 96, weight_range=(1, 10)),
+     "0b02c6872b4fc286b0f9109ed2382ee32c5d111aefe2ffc6c502bf8ec8db4db9"),
 ]
 
 

@@ -258,8 +258,8 @@ def _one_scan_results(monkeypatch):
     real = graph_module._table
     results = []
 
-    def record(body, width):
-        results.append(real(body, width))
+    def record(body, width, tag):
+        results.append(real(body, width, tag))
         return results[-1]
 
     monkeypatch.setattr(graph_module, "_table", record)
@@ -320,10 +320,12 @@ def test_saturated_token_is_not_read_in_one_scan(monkeypatch):
 
 
 # text pieces the one-scan reader must refuse or read exactly as the line
-# reader does: blanks and line breaks of every kind, comments, signs,
-# digit separators, decimals, non-ASCII digits and tokens at the int64 edge
+# reader does: blanks and line breaks of every kind, comments, record tags
+# and comment marks, signs, digit separators, decimals, non-ASCII digits
+# and tokens at the int64 edge
 NOISE = ["\t", "\r\n", "\r", "\x0b", "\x0c", "  ", " ", "\n", "\n\n", "# n\n",
-         "c n\n", "+", "-", "_", ".5", "١", "9" * 19, "1" * 20, "0"]
+         "c n\n", "a ", "a\t", "c ", "#", "+", "-", "_", ".5", "١", "9" * 19,
+         "1" * 20, "0"]
 WHOLE_TEXT = {
     "tabs": lambda text: text.replace(" ", "\t"),
     "crlf": lambda text: text.replace("\n", "\r\n"),
@@ -376,7 +378,7 @@ def _parse_outcome(text, directed, scale):
 def test_one_scan_reader_matches_the_line_reader(case):
     graph_module = importlib.import_module("diamest.graph")
     outcome = _parse_outcome(*case)
-    with mock.patch.object(graph_module, "_table", lambda body, width: None):
+    with mock.patch.object(graph_module, "_table", lambda body, width, tag: None):
         assert _parse_outcome(*case) == outcome
 
 
@@ -453,18 +455,19 @@ a 4 3 5
     ("p sp 3 2\r\n  c\tnote\r\n\t\r\na 1 2 5\r\na 2 3 1\r\n", 3,
      [(0, 1, 5), (1, 2, 1)]),
     (CHALLENGE_GR, 4, [(0, 1, 17), (0, 2, 10), (1, 3, 2), (2, 1, 0), (3, 2, 5)]),
+    ("p sp 3 2\ra 1 2 5\x0ca\t2 3 1 \r", 3, [(0, 1, 5), (1, 2, 1)]),
 ], ids=["comment-before-p", "blank-between-arcs", "crlf-indented-comment",
-        "challenge-layout"])
+        "challenge-layout", "lone-cr-form-feed-tab-tag"])
 def test_clean_dimacs_arcs_are_read_as_one_array(monkeypatch, text, n, arcs):
     graph_module = importlib.import_module("diamest.graph")
-    real = graph_module._arc_rows
+    real = graph_module._edge_rows
     results = []
 
-    def record(body, n):
-        results.append(real(body, n))
+    def record(*args):
+        results.append(real(*args))
         return results[-1]
 
-    monkeypatch.setattr(graph_module, "_arc_rows", record)
+    monkeypatch.setattr(graph_module, "_edge_rows", record)
     scans = _one_scan_results(monkeypatch)
     assert parse_dimacs(text) == build_graph(n, arcs, directed=True)
     assert len(results) == 1 and results[0].tolist() == [list(a) for a in arcs]
@@ -472,7 +475,8 @@ def test_clean_dimacs_arcs_are_read_as_one_array(monkeypatch, text, n, arcs):
 
 
 # file text and exact message; captured before arcs went through the array
-# reader, except "p sp x 0", which used to escape as a bare ValueError
+# reader, except "p sp x 0", which used to escape as a bare ValueError, and
+# the two rows on record tags, which are the line reader's own messages
 BROKEN_DIMACS = [
     ("c only a comment\n", "missing 'p sp n m' line"),
     ("a 1 2 3\n", "line 1: arc before problem line"),
@@ -486,6 +490,8 @@ BROKEN_DIMACS = [
     ("p sp 3 1\na 1 2 1.5\n", "line 2: bad arc line 'a 1 2 1.5'"),
     ("p sp 3 1\na\n", "line 2: bad arc line 'a'"),
     ("p sp 3 2\na 1 2 3\na 2 3 1 # note\n", "line 3: bad arc line 'a 2 3 1 # note'"),
+    ("p sp 3 2\na 1 2 3 a 2 3 1\n", "line 2: bad arc line 'a 1 2 3 a 2 3 1'"),
+    ("p sp 3 2\na 1 2 3\n2 3 1\n", "line 3: unknown record '2'"),
     ("p sp 3 1\na 0 2 3\n", "line 2: arc endpoint out of range for n=3"),
     ("p sp 3 1\na 1 4 3\n", "line 2: arc endpoint out of range for n=3"),
     ("p sp 4 3\na 1 2 1\na 2 3 1\na 3 5 1\n",
