@@ -5,10 +5,10 @@ floors, a dominating-set-based generator of adversarial 2-vs-3 diameter
 instances, seeded corpus generators and a benchmark CLI.
 """
 
-from .graph import (DiameterStatus, Graph, GraphError, GraphParseError,
-                    InfiniteDiameterError, UNREACHED, build_graph,
-                    finite_diameter_check, parse_dimacs, parse_edge_list,
-                    parse_graph, write_edge_list)
+from .graph import (Graph, GraphError, GraphParseError, InfiniteDiameterError,
+                    UNREACHED, build_graph, finite_diameter_check,
+                    parse_dimacs, parse_edge_list, parse_graph,
+                    write_edge_list)
 from .search import (IN, OUT, NearSet, SearchTree, batch_depths,
                      batch_search_stats, nearest_high_degree, nearest_in_set,
                      nearest_s, search)
@@ -25,7 +25,7 @@ from .generators import PRNG_NAME, GenSpec, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiameterStatus", "Graph", "GraphError", "GraphParseError",
+    "Graph", "GraphError", "GraphParseError",
     "InfiniteDiameterError", "UNREACHED", "build_graph",
     "finite_diameter_check", "parse_dimacs", "parse_edge_list", "parse_graph",
     "write_edge_list",

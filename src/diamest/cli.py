@@ -17,7 +17,6 @@ import csv
 import ctypes
 import functools
 import hashlib
-import math
 import os
 import sys
 import time
@@ -116,15 +115,24 @@ def _write_file(path: str, text: str):
         raise SystemExit(1) from None
 
 
+def _degree_threshold(delta) -> int:
+    """sparse's --delta, a degree threshold: a whole number, never rounded."""
+    if float(delta).is_integer():
+        return int(delta)
+    shown = {float("inf"): "infinity",
+             -float("inf"): "-infinity"}.get(delta, delta)
+    raise ValueError(f"sparse --delta must be a whole number, got {shown}")
+
+
 def run_method(g: Graph, method: str, *, s=None, delta=None, htilde=None,
                epsilon=DEFAULT_SAMPLING_EPSILON,
                sample_const=DEFAULT_SAMPLE_CONST, seed=0) -> Estimate:
     """Dispatch one estimator run; shared by the estimate and bench paths."""
     if method == "exact":
         res = exact_diameter(g)
-        if not res.diameter.finite:
+        if res.diameter is None:
             raise InfiniteDiameterError("graph has infinite diameter")
-        return Estimate(res.diameter.value, "exact",
+        return Estimate(res.diameter, "exact",
                         Witness("distance", pair=res.witness))
     if method == "two-approx":
         return two_approx(g)
@@ -139,7 +147,7 @@ def run_method(g: Graph, method: str, *, s=None, delta=None, htilde=None,
         return dense_estimate(g, s)
     if method == "sparse":
         if htilde is not None and delta is not None:
-            return sparse_estimate(g, int(htilde), int(delta))
+            return sparse_estimate(g, int(htilde), _degree_threshold(delta))
         if htilde is not None or delta is not None:
             raise GraphError("sparse needs both --htilde and --delta, or neither")
         return sparse_driver(g)
@@ -188,12 +196,12 @@ def _cmd_exact(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     millis = (time.perf_counter_ns() - t0) / 1e6
-    if not res.diameter.finite:
+    if res.diameter is None:
         print("error: graph has infinite diameter", file=sys.stderr)
         return 2
     a, b = res.witness
     print("method=exact")
-    print(f"value={res.diameter.value}")
+    print(f"value={res.diameter}")
     print(f"witness=distance:{a},{b}")
     print(f"eccentricity_min={int(res.eccentricities.min())}")
     print(f"eccentricity_max={int(res.eccentricities.max())}")
@@ -281,9 +289,7 @@ def _bench_instance(name, g, methods, reps, args):
     rows = []
     oracle_d = None
     if 0 < g.n <= args.oracle_cap:  # an empty graph has no diameter
-        res = exact_diameter(g)
-        if res.diameter.finite:
-            oracle_d = res.diameter.value
+        oracle_d = exact_diameter(g).diameter
     for method in methods:
         for rep in range(reps):
             seed = _derived_seed(args.seed, name, method, rep)

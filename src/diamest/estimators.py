@@ -21,9 +21,8 @@ import numpy as np
 from .graph import (Graph, GraphError, InfiniteDiameterError, UNREACHED,
                     finite_diameter_check)
 from .oracle import exact_diameter
-from .search import (IN, OUT, batch_depths, near_sets, nearest_high_degree,
-                     nearest_in_set, nearest_s, search, _gather, _key_dtype,
-                     _runs)
+from .search import (IN, OUT, batch_depths, near_sets, nearest_in_set,
+                     nearest_s, search, _gather, _key_dtype, _runs)
 
 DEFAULT_SAMPLE_CONST = 2.0
 DEFAULT_SAMPLING_EPSILON = 0.5
@@ -265,37 +264,75 @@ def _greedy_hitting_set(members: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(picks, dtype=np.int64)
 
 
+def _depths(g: Graph, out_sources: np.ndarray, in_sources: np.ndarray):
+    """OUT-tree depths of ``out_sources`` and IN-tree depths of
+    ``in_sources``: the batching rule of every sweep.  A directed graph
+    runs a batch per nonempty side.  On an undirected one in-trees are
+    out-trees, so one OUT batch serves both sides."""
+    if not g.directed:
+        d = batch_depths(g, np.concatenate((out_sources, in_sources)), OUT)
+        return d[:out_sources.size], d[out_sources.size:]
+    # an empty side runs no batch: it is its own empty result
+    return tuple(batch_depths(g, src, way) if src.size else src
+                 for src, way in ((out_sources, OUT), (in_sources, IN)))
+
+
 def _aingworth_sweep(g: Graph, s: int):
     """One full run of the near-set estimator on ``g``.
 
     Computes every vertex's s-nearest out-set, searches outward from the
     vertex with the largest near-set radius, inward from that vertex's
     near set, and outward from a greedy hitting set of all near sets.
-    One OUT batch serves w and the hitters.  On an undirected graph
-    in-trees are out-trees, so that batch serves the near set too; the
-    offers keep their order and their IN and OUT labels.  Returns
-    (tracker, members, member_dists); the latter two let callers reuse
-    the truncated trees.
+    Returns (tracker, members, member_dists); the latter two let callers
+    reuse the truncated trees.
     """
     members, mdists = _near_sets_all(g, s)
-    radii = mdists[:, -1]
-    w = int(np.argmax(radii))
+    w = int(np.argmax(mdists[:, -1]))
     hitters = _greedy_hitting_set(members, g.n)
     near_w = members[w]
-    if g.directed:
-        out = batch_depths(g, np.concatenate(([w], hitters)), OUT)
-        w_depth, hit_depths = out[0], out[1:]
-        in_depths = batch_depths(g, near_w, IN)
-    else:
-        d = batch_depths(g, np.concatenate(([w], near_w, hitters)), OUT)
-        w_depth, in_depths, hit_depths = d[0], d[1:s + 1], d[s + 1:]
+    out, in_depths = _depths(g, np.concatenate(([w], hitters)), near_w)
     # the offers go w, near set of w, hitters: the order that decides
     # ties between equal depths
     tracker = _Deepest()
-    tracker.offer(int(w_depth), w, OUT)
+    tracker.offer(int(out[0]), w, OUT)
     tracker.offer_batch(in_depths, near_w, IN)
-    tracker.offer_batch(hit_depths, hitters, OUT)
+    tracker.offer_batch(out[1:], hitters, OUT)
     return tracker, members, mdists
+
+
+def _pivot_sweep(g: Graph, hitters: np.ndarray, radius: int | None, size: int):
+    """The sweep of the pivot estimators, rv and sparse.
+
+    Searches out of ``hitters``, picks the vertex w farthest from them
+    (vertex 0 if there are none) and searches into w's ball: its first
+    ``size`` vertices in (distance, id) order, w's near set, cut at
+    min(``radius``, d(w, hitters)) when a ``radius`` is given.  Returns
+    the tracker, or None, before any batch, when the hitters miss the
+    near set.  Hitters that are every vertex end the sweep (_covers).
+    The offers go hitters, w, ball: the order that decides ties.
+    """
+    tracker = _Deepest()
+    if _covers(g, hitters):
+        tracker.offer_batch(_depths(g, hitters, hitters[:0])[0], hitters, OUT)
+        return tracker
+    w, reach = 0, UNREACHED
+    if hitters.size:
+        to_hitters = nearest_in_set(g, hitters, OUT)
+        w = int(np.argmax(to_hitters))
+        reach = int(to_hitters[w])
+    tree = search(g, w, OUT)
+    ball = tree.order[:size]
+    if size < g.n and not np.intersect1d(hitters, ball,
+                                         assume_unique=True).size:
+        return None
+    if radius is not None:
+        ball = ball[:np.searchsorted(tree.dist[ball], min(radius, reach),
+                                     side="right")]
+    out, into = _depths(g, hitters, ball)
+    tracker.offer_batch(out, hitters, OUT)
+    tracker.offer(tree.depth, w, OUT)
+    tracker.offer_batch(into, ball, IN)
+    return tracker
 
 
 # ---- estimators -------------------------------------------------------------
@@ -345,20 +382,11 @@ def _sampled_core(g, s, seed, sample_const, method):
     rng = np.random.default_rng(seed)
     for rerun in range(DEFAULT_RERUN_CAP + 1):
         sample = np.sort(rng.choice(n, size=size, replace=False))
-        tracker = _Deepest()
-        tracker.offer_batch(batch_depths(g, sample, OUT), sample, OUT)
-        if not _covers(g, sample):  # else it hits the pivot's near set, too
-            dist_to_sample = nearest_in_set(g, sample, OUT)
-            w = int(np.argmax(dist_to_sample))
-            tree_w = search(g, w, OUT)
-            tracker.offer(tree_w.depth, w, OUT)
-            near_w = tree_w.order[:s]
-            if np.intersect1d(sample, near_w, assume_unique=True).size == 0:
-                continue  # sample missed the near set: resample and rerun
-            tracker.offer_batch(batch_depths(g, near_w, IN), near_w, IN)
-        return Estimate(tracker.depth, method, tracker.witness(), rerun,
-                        _params(s=s, seed=seed, sample_const=sample_const,
-                                sample_size=size))
+        tracker = _pivot_sweep(g, sample, None, s)
+        if tracker is not None:  # else the sample missed the near set
+            return Estimate(tracker.depth, method, tracker.witness(), rerun,
+                            _params(s=s, seed=seed, sample_const=sample_const,
+                                    sample_size=size))
     raise RestartLimitError(
         f"hitting-sample verification failed {DEFAULT_RERUN_CAP + 1} times")
 
@@ -472,35 +500,14 @@ def sparse_estimate(g: Graph, depth_hint: int, degree_threshold: int) -> Estimat
     """
     _require_unweighted(g, "sparse_estimate")
     _require_finite(g)
-    return _sparse(g, depth_hint, degree_threshold)
-
-
-def _sparse(g: Graph, depth_hint: int, degree_threshold: int) -> Estimate:
-    """:func:`sparse_estimate` on a graph known to have finite diameter."""
     if depth_hint < 0:
         raise ValueError(f"depth_hint must be >= 0, got {depth_hint}")
     if degree_threshold < 1:
         raise ValueError(f"degree_threshold must be >= 1, got {degree_threshold}")
-    params = _params(htilde=depth_hint, delta=degree_threshold)
-    tracker = _Deepest()
-    high = np.flatnonzero(g.out_degrees >= degree_threshold)
-    if high.size:
-        tracker.offer_batch(batch_depths(g, high, OUT), high, OUT)
-        if _covers(g, high):
-            return Estimate(tracker.depth, "sparse", tracker.witness(),
-                            params=params)
-        dist_high = nearest_high_degree(g, degree_threshold)
-        w = int(np.argmax(dist_high))
-        radius = min(depth_hint + 1, int(dist_high[w]))
-    else:
-        w = 0
-        radius = depth_hint + 1
-    tree_w = search(g, w, OUT)
-    tracker.offer(tree_w.depth, w, OUT)
-    cut = np.searchsorted(tree_w.dist[tree_w.order], radius, side="right")
-    ball = tree_w.order[:cut]
-    tracker.offer_batch(batch_depths(g, ball, IN), ball, IN)
-    return Estimate(tracker.depth, "sparse", tracker.witness(), params=params)
+    tracker = _pivot_sweep(g, np.flatnonzero(g.out_degrees >= degree_threshold),
+                           depth_hint + 1, g.n)
+    return Estimate(tracker.depth, "sparse", tracker.witness(),
+                    params=_params(htilde=depth_hint, delta=degree_threshold))
 
 
 def sparse_driver(g: Graph) -> Estimate:
@@ -516,8 +523,9 @@ def sparse_driver(g: Graph) -> Estimate:
     _require_unweighted(g, "sparse_estimate")
     hint = (2 * base.value) // 3
     threshold = _iceil(g.m ** (1.0 / (2 * hint + 3))) if g.m else 1
-    est = _sparse(g, hint, threshold)
-    return Estimate(est.value, "sparse", est.witness,
+    tracker = _pivot_sweep(g, np.flatnonzero(g.out_degrees >= threshold),
+                           hint + 1, g.n)
+    return Estimate(tracker.depth, "sparse", tracker.witness(),
                     params=_params(htilde=hint, delta=threshold,
                                    two_approx=base.value))
 
@@ -541,7 +549,7 @@ def four_fifths_estimate(g: Graph, distance_oracle=None) -> Estimate:
     _require_finite(g)
     if distance_oracle is None:
         exact = exact_diameter(g)
-        top, (a, b), err = exact.diameter.value, exact.witness, 0
+        top, (a, b), err = exact.diameter, exact.witness, 0
     else:
         dmat, err = distance_oracle(g)
         if err not in (0, 2):

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import re
 import weakref
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
@@ -76,20 +75,6 @@ class GraphParseError(GraphError):
 class InfiniteDiameterError(GraphError):
     """Raised where an operation requires a finite diameter and the graph
     is not (strongly) connected."""
-
-
-@dataclass(frozen=True)
-class DiameterStatus:
-    """Finite/infinite diameter flag with the value when finite."""
-
-    finite: bool
-    value: int | None = None
-
-    def __post_init__(self):
-        if self.finite and (self.value is None or self.value < 0):
-            raise ValueError("finite diameter requires a nonnegative value")
-        if not self.finite and self.value is not None:
-            raise ValueError("infinite diameter carries no value")
 
 
 class Graph:

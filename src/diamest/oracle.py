@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
-from .graph import DiameterStatus, Graph, UNREACHED
+from .graph import Graph, UNREACHED
 from .search import OUT, batch_search_stats, search
 
 APSP_CAP_DEFAULT = 2048
@@ -23,13 +23,13 @@ APSP_CAP_DEFAULT = 2048
 class ExactResult:
     """Exact diameter with a witness pair and per-vertex out-eccentricities.
 
-    ``witness`` is the lexicographically smallest pair (a, b) realizing the
-    diameter, present only when the diameter is finite.  Eccentricities are
-    the maximum *finite* out-distance of each vertex, so they are defined
-    even for disconnected graphs.
+    ``diameter`` is None when it is infinite; ``witness``, the
+    lexicographically smallest pair (a, b) realizing it, only when finite.
+    Eccentricities are the maximum *finite* out-distance of each vertex,
+    so they are defined even for disconnected graphs.
     """
 
-    diameter: DiameterStatus
+    diameter: int | None
     witness: tuple[int, int] | None
     eccentricities: np.ndarray
 
@@ -43,12 +43,12 @@ def exact_diameter(g: Graph) -> ExactResult:
     ecc = ecc.copy()
     ecc.setflags(write=False)
     if not spans.all():
-        return ExactResult(DiameterStatus(False), None, ecc)
+        return ExactResult(None, None, ecc)
     d = int(ecc.max())
     a = int(np.argmax(ecc))  # first maximum = smallest source id
     row = search(g, a, OUT).dist
     b = int(np.flatnonzero(row == d)[0])
-    return ExactResult(DiameterStatus(True, d), (a, b), ecc)
+    return ExactResult(d, (a, b), ecc)
 
 
 def exact_apsp(g: Graph, cap: int = APSP_CAP_DEFAULT) -> np.ndarray:

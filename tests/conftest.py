@@ -39,7 +39,7 @@ def corpus_main():
 
 @pytest.fixture(scope="session")
 def oracle_main(corpus_main):
-    return np.array([exact_diameter(g).diameter.value for g in corpus_main])
+    return np.array([exact_diameter(g).diameter for g in corpus_main])
 
 
 @pytest.fixture(scope="session")
@@ -57,7 +57,7 @@ def corpus_sparse():
 
 @pytest.fixture(scope="session")
 def oracle_sparse(corpus_sparse):
-    return np.array([exact_diameter(g).diameter.value for g in corpus_sparse])
+    return np.array([exact_diameter(g).diameter for g in corpus_sparse])
 
 
 @pytest.fixture(scope="session")
@@ -76,7 +76,7 @@ def corpus_weighted():
 
 @pytest.fixture(scope="session")
 def oracle_weighted(corpus_weighted):
-    return np.array([exact_diameter(g).diameter.value for g in corpus_weighted])
+    return np.array([exact_diameter(g).diameter for g in corpus_weighted])
 
 
 @pytest.fixture(scope="session")

@@ -193,7 +193,7 @@ def test_a07_reduction_correctness():
             if inst.gprime.n != math.comb(n, k) + n:
                 bad.append(("nodes", n, k))
                 continue
-            got = exact_diameter(inst.gprime).diameter.value
+            got = exact_diameter(inst.gprime).diameter
             if got != inst.expected_diameter:
                 bad.append((n, k, got, inst.expected_diameter))
     _report("A7 reduction", not bad and checked >= 250,

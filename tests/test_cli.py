@@ -95,6 +95,43 @@ def test_estimate_stdout_is_pinned(capsys, tmp_path, spec, digest):
     assert record.hexdigest() == digest
 
 
+# sha256 over (exit code, stdout) of the exact subcommand, and over the
+# bench CSV rows less their millis column (every method, two reps, seed 1),
+# on the graphs of ESTIMATE_PINNED
+EXACT_BENCH_PINNED = [
+    (ESTIMATE_PINNED[0][0],
+     "2f3879752efe00bb62bceed9734c1fe0ef0db753f6556f36b7bddfb593133b83",
+     "75f6d10759c99719af308e9a05d223302a29235904b9a0957ef0f56e7f823691"),
+    (ESTIMATE_PINNED[1][0],
+     "809806a83fbc208a6d9eb47cc8719eddb70ba4353cfe21165eac93f7710a4faf",
+     "9a4df8f5980182fbbf8c82339a5f79895b0bdca348b28ae0997196a23941efca"),
+    (ESTIMATE_PINNED[2][0],
+     "6a97a00d60c6147d7473f49339f329528013f1c453eaab630437402d8918fdc5",
+     "24f4d347feb03be6e37fe0d335a3946fe2454325b025de4112ffa492606ffd4f"),
+    (ESTIMATE_PINNED[3][0],
+     "dcb7a2fdf5f3a795f09c3b96c1171ed35f69c6bb9e79ff0a14fbe7fa195cbb21",
+     "fc55ff9b13af6f508b01c7c4556ed55852237367e84f6ad90727de627d1f7c32"),
+]
+
+
+@pytest.mark.parametrize("spec,exact_digest,bench_digest", EXACT_BENCH_PINNED)
+def test_exact_and_bench_output_is_pinned(capsys, tmp_path, spec, exact_digest,
+                                          bench_digest):
+    path = tmp_path / "g.edges"
+    path.write_text(write_edge_list(generate(spec)))
+    flags = ["--directed"] if spec.directed else []
+    code, out, _ = _run(capsys, ["exact", "--input", str(path), *flags])
+    assert "eccentricity_min=" in out and "eccentricity_max=" in out
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == exact_digest
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"file={path},directed={int(spec.directed)}\n")
+    code, out, _ = _run(capsys, ["bench", "--corpus", str(corpus), "--methods",
+                                 ",".join(cli.METHODS), "--seed", "1",
+                                 "--reps", "2"])
+    rows = "\n".join(",".join(row[:-1]) for row in csv.reader(io.StringIO(out)))
+    assert hashlib.sha256(f"{code}\n{rows}".encode()).hexdigest() == bench_digest
+
+
 def test_estimate_infinite_diameter_exit_2(capsys, tmp_path):
     path = tmp_path / "disc.edges"
     path.write_text("4 1\n0 1\n")  # vertices 2,3 isolated
@@ -398,6 +435,27 @@ def test_sparse_override_requires_both(capsys, p10_file):
     assert code == 0
 
 
+@pytest.mark.parametrize("delta,shown", [
+    ("2.5", "2.5"), ("nan", "nan"), ("1e400", "infinity"),
+    ("-1e400", "-infinity")])
+def test_sparse_delta_must_be_whole(capsys, tmp_path, p10_file, delta, shown):
+    # --delta 2.5 used to run as delta=2, a threshold of degree >= 2
+    message = f"sparse --delta must be a whole number, got {shown}"
+    flags = ["--method", "sparse", "--htilde", "3", f"--delta={delta}"]
+    code, out, err = _run(capsys, ["estimate", "--input", p10_file, *flags])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"id=p10,file={p10_file}\n")
+    flags[:2] = ["--methods", "sparse"]
+    code, out, err = _run(capsys, ["bench", "--corpus", str(corpus), *flags])
+    assert code == 0 and err == f"p10/sparse: {message}\n"
+    assert list(csv.reader(io.StringIO(out)))[1:] == [
+        ["p10", "10", "9", "sparse"] + [""] * 9]
+    code, out, _ = _run(capsys, ["estimate", "--input", p10_file, "--method",
+                                 "sparse", "--htilde", "3", "--delta", "2.0"])
+    assert code == 0 and "params=htilde=3;delta=2" in out.splitlines()
+
+
 def test_gen_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "g.edges"
     code, _, _ = _run(capsys, ["gen", "--family", "gnm", "--n", "40",
@@ -431,7 +489,7 @@ def test_reduce_path6(capsys, tmp_path):
     assert "expected_diameter=3" in out
     meta = parse_metadata((tmp_path / "inst.meta").read_text())
     gp = parse_graph((tmp_path / "inst.edges").read_text())
-    assert exact_diameter(gp).diameter.value == int(meta["expected_diameter"])
+    assert exact_diameter(gp).diameter == int(meta["expected_diameter"])
 
 
 def test_reduce_early_exit(capsys, tmp_path):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diamest import (IN, OUT, Estimate, GenSpec, GraphError,
-                     InfiniteDiameterError, Witness, aingworth, build_graph,
-                     dense_estimate, exact_diameter, four_fifths_estimate,
-                     generate, recompute_witness, sampled_estimate,
-                     sampled_estimate_weighted, sampling_estimate,
-                     sparse_driver, sparse_estimate, two_approx)
+                     InfiniteDiameterError, RestartLimitError, Witness,
+                     aingworth, build_graph, dense_estimate, exact_diameter,
+                     four_fifths_estimate, generate, recompute_witness,
+                     sampled_estimate, sampled_estimate_weighted,
+                     sampling_estimate, sparse_driver, sparse_estimate,
+                     two_approx)
 from diamest.estimators import _greedy_hitting_set, _near_sets_all
 from diamest.search import batch_depths
 from helpers import (complete_graph, cycle_graph, decompose,
@@ -46,7 +47,7 @@ def test_two_approx_complete():
 def test_two_approx_bounds_random():
     rng = np.random.default_rng(101)
     for g in _sweep_graphs(rng, 500, weight_hi=0):
-        d = exact_diameter(g).diameter.value
+        d = exact_diameter(g).diameter
         est = two_approx(g)
         assert 2 * est.value >= d
         assert est.value <= d
@@ -66,7 +67,7 @@ def test_aingworth_path_bounds():
 def test_aingworth_floor_random():
     rng = np.random.default_rng(103)
     for g in _sweep_graphs(rng, 400, n_hi=80):
-        d = exact_diameter(g).diameter.value
+        d = exact_diameter(g).diameter
         h, z = decompose(d)
         est = aingworth(g)
         assert est.value <= d
@@ -84,7 +85,7 @@ def test_aingworth_weighted_stays_upper_sound():
     rng = np.random.default_rng(97)
     for _ in range(30):
         g = random_graph(rng, 25, 60, weight_hi=9, connected=True)
-        d = exact_diameter(g).diameter.value
+        d = exact_diameter(g).diameter
         assert aingworth(g, 5).value <= d
 
 
@@ -283,14 +284,98 @@ def _two_batch_sweep(g, s):
     return tracker.depth, tracker.witness()
 
 
-def test_undirected_sweep_runs_one_batch(monkeypatch):
-    directions = []
-    real = search_module.batch_search_stats
+def _two_batch_rv(g, s, size, seed, sample_const):
+    """rv as each attempt ran it before its sweep shared the batching
+    rule: an OUT batch of the sample, the pivot w, and an IN batch of w's
+    near set, on any graph.  Returns (value, witness, reruns, sample,
+    near set), the near set None when the sample is every vertex."""
+    rng = np.random.default_rng(seed)
+    for rerun in range(estimators_module.DEFAULT_RERUN_CAP + 1):
+        sample = np.sort(rng.choice(g.n, size=size, replace=False))
+        tracker = estimators_module._Deepest()
+        tracker.offer_batch(batch_depths(g, sample, OUT), sample, OUT)
+        if sample.size == g.n:
+            return tracker.depth, tracker.witness(), rerun, sample, None
+        dist = search_module.nearest_in_set(g, sample, OUT)
+        w = int(np.argmax(dist))
+        tree = search_module.search(g, w, OUT)
+        tracker.offer(tree.depth, w, OUT)
+        near = tree.order[:s]
+        if np.intersect1d(sample, near).size:
+            tracker.offer_batch(batch_depths(g, near, IN), near, IN)
+            return tracker.depth, tracker.witness(), rerun, sample, near
+    raise RestartLimitError("reference")
 
-    def spy(g, sources, direction):
-        directions.append(direction)
-        return real(g, sources, direction)
 
+def _two_batch_sparse(g, hint, threshold):
+    """sparse as it ran before its sweep shared the batching rule, in the
+    shape of :func:`_two_batch_rv`'s result."""
+    high = np.flatnonzero(g.out_degrees >= threshold)
+    tracker = estimators_module._Deepest()
+    w, radius = 0, hint + 1
+    if high.size:
+        tracker.offer_batch(batch_depths(g, high, OUT), high, OUT)
+        if high.size == g.n:
+            return tracker.depth, tracker.witness(), 0, high, None
+        dist = search_module.nearest_in_set(g, high, OUT)
+        w = int(np.argmax(dist))
+        radius = min(radius, int(dist[w]))
+    tree = search_module.search(g, w, OUT)
+    tracker.offer(tree.depth, w, OUT)
+    ball = tree.order[tree.dist[tree.order] <= radius]
+    tracker.offer_batch(batch_depths(g, ball, IN), ball, IN)
+    return tracker.depth, tracker.witness(), 0, high, ball
+
+
+def _pivot_calls(g, reruns, hitters, ball):
+    """The searches a pivot estimator call runs: per rerun attempt the
+    search to the hitters and the one from w, and no batch; then, unless
+    the hitters are every vertex, those two searches (the first only with
+    hitters) and the batches of the shared rule."""
+    calls = ["nearest", "search"] * reruns
+    if ball is None:
+        return calls + [(OUT, hitters.size)]
+    calls += ["nearest"] * bool(hitters.size) + ["search"]
+    if not g.directed:
+        return calls + [(OUT, hitters.size + ball.size)]
+    return calls + [(OUT, hitters.size)] * bool(hitters.size) + [(IN, ball.size)]
+
+
+@pytest.fixture
+def search_log(monkeypatch):
+    """Every batch (direction, sources), nearest_in_set and search that
+    the estimators run, in order."""
+    log = []
+    batch = search_module.batch_search_stats
+    nearest = estimators_module.nearest_in_set
+    single = estimators_module.search
+
+    def batch_spy(g, sources, direction):
+        log.append((direction, len(sources)))
+        return batch(g, sources, direction)
+
+    def nearest_spy(*args):
+        log.append("nearest")
+        return nearest(*args)
+
+    def search_spy(*args):
+        log.append("search")
+        return single(*args)
+
+    monkeypatch.setattr(search_module, "batch_search_stats", batch_spy)
+    monkeypatch.setattr(estimators_module, "nearest_in_set", nearest_spy)
+    monkeypatch.setattr(estimators_module, "search", search_spy)
+    return log
+
+
+def _pivot_matches(est, calls, want, g):
+    value, witness, reruns, hitters, ball = want
+    assert (est.value, est.witness, est.reruns) == (value, witness, reruns)
+    assert calls == _pivot_calls(g, reruns, hitters, ball)
+
+
+def test_undirected_sweep_runs_one_batch(search_log):
+    seen = set()
     rng = np.random.default_rng(239)
     for i in range(60):
         n = int(rng.integers(2, 70))
@@ -298,15 +383,76 @@ def test_undirected_sweep_runs_one_batch(monkeypatch):
         g = random_graph(rng, n, int(rng.integers(n, 3 * n)),
                          directed=directed, connected=True)
         s = int(rng.integers(1, n + 1))
+        tracker, members, _ = estimators_module._aingworth_sweep(g, s)
+        out = 1 + _greedy_hitting_set(members, n).size  # w and the hitters
+        assert search_log == ([(OUT, out), (IN, s)] if directed
+                              else [(OUT, out + s)])
         want = _two_batch_sweep(g, s)
-        with monkeypatch.context() as patch:
-            patch.setattr(search_module, "batch_search_stats", spy)
-            directions.clear()
-            tracker = estimators_module._aingworth_sweep(g, s)[0]
         assert (tracker.depth, tracker.witness()) == want
-        assert directions == ([OUT, IN] if directed else [OUT])
         est = aingworth(g, s)
         assert (est.value, est.witness) == want
+        search_log.clear()
+
+        try:
+            est = sampled_estimate(g, s=s, seed=i,
+                                   sample_const=(2.0, 0.5, 0.25, 50.0)[i % 4])
+        except RestartLimitError:
+            # at s = 1 w's near set is w, which a sample that is not every
+            # vertex never holds: every attempt reruns
+            assert s == 1 and search_log == ["nearest", "search"] * (
+                estimators_module.DEFAULT_RERUN_CAP + 1)
+        else:
+            calls = search_log[:]
+            want = _two_batch_rv(g, s, est.param("sample_size"), i,
+                                 est.param("sample_const"))
+            _pivot_matches(est, calls, want, g)
+            seen.add(("rv", directed, want[2] > 0, want[4] is None))
+        search_log.clear()
+
+        hint, threshold = i % 5, (1, 2, 4, n)[i % 4]
+        est = sparse_estimate(g, hint, threshold)
+        calls = search_log[:]
+        want = _two_batch_sparse(g, hint, threshold)
+        _pivot_matches(est, calls, want, g)
+        seen.add(("sparse", directed, want[3].size == 0, want[4] is None))
+
+        est = sparse_driver(g)
+        want = _two_batch_sparse(g, est.param("htilde"), est.param("delta"))
+        assert (est.value, est.witness) == want[:2]
+        search_log.clear()
+    # both orientations saw reruns, covering samples, empty hitter sets
+    # and high-degree sets that are every vertex
+    for method in ("rv", "sparse"):
+        for directed in (False, True):
+            for flag in (True, False):
+                assert (method, directed, flag, False) in seen
+            assert (method, directed, False, True) in seen
+
+
+def test_pivot_sweep_searches_per_attempt(search_log):
+    # a one-vertex sample of a star misses the pivot's near set on some
+    # seeds; those attempts run the two searches and no batch
+    g = star_graph(8)
+    reruns = 0
+    for seed in range(8):
+        est = sampled_estimate(g, s=3, seed=seed, sample_const=1e-3)
+        reruns += est.reruns
+        assert search_log[:2 * est.reruns] == ["nearest", "search"] * est.reruns
+        assert search_log[2 * est.reruns:] == ["nearest", "search", (OUT, 4)]
+        search_log.clear()
+    assert reruns
+    # hitters that are every vertex: one OUT batch and nothing else
+    directed = random_graph(np.random.default_rng(5), 30, 90, directed=True,
+                            connected=True)
+    for graph in (path_graph(12), directed):
+        sparse_estimate(graph, 1, 1)
+        sampled_estimate(graph, s=2, sample_const=1e9)
+        assert search_log == [(OUT, graph.n)] * 2
+        search_log.clear()
+    # no hitter at all: no empty batch before the IN batch of the ball
+    est = sparse_estimate(directed, 2, directed.n)
+    assert search_log == ["search", (IN, search_log[-1][1])]
+    assert est.value == _two_batch_sparse(directed, 2, directed.n)[0]
 
 
 # ---- sampled (Las Vegas) estimator -----------------------------------------
@@ -328,7 +474,7 @@ def test_sampled_reruns_when_the_sample_misses_the_near_set():
     # a sample of one vertex of a star often misses the pivot's 3 closest
     # vertices; each such miss must resample, not return
     g = star_graph(8)
-    d = exact_diameter(g).diameter.value
+    d = exact_diameter(g).diameter
     h, z = decompose(d)
     reruns = []
     for seed in range(8):
@@ -344,7 +490,7 @@ def test_sampled_reruns_when_the_sample_misses_the_near_set():
 def test_sampled_floor_random():
     rng = np.random.default_rng(107)
     for i, g in enumerate(_sweep_graphs(rng, 300, n_hi=80)):
-        d = exact_diameter(g).diameter.value
+        d = exact_diameter(g).diameter
         h, z = decompose(d)
         est = sampled_estimate(g, seed=i)
         assert est.value <= d
@@ -390,7 +536,7 @@ def test_sampled_weighted_floor_random():
     strict = 0
     total = 0
     for i, g in enumerate(_sweep_graphs(rng, 120, n_hi=50, weight_hi=10)):
-        d = exact_diameter(g).diameter.value
+        d = exact_diameter(g).diameter
         est = sampled_estimate_weighted(g, seed=i)
         assert est.value <= d
         assert est.value >= (2 * d) // 3 - 10
@@ -414,7 +560,7 @@ def test_dense_floor_all_z_random():
     rng = np.random.default_rng(131)
     seen_z = set()
     for g in _sweep_graphs(rng, 400, n_hi=70):
-        d = exact_diameter(g).diameter.value
+        d = exact_diameter(g).diameter
         h, z = decompose(d)
         est = dense_estimate(g)
         assert est.value <= d
@@ -449,7 +595,7 @@ def test_dense_pair_certificate_strictly_improves():
     arcs = [(0, 1), (0, 5), (1, 0), (1, 4), (1, 5), (1, 7), (2, 0), (2, 3),
             (3, 1), (3, 2), (4, 6), (5, 0), (5, 3), (6, 5), (6, 7), (7, 5)]
     g = build_graph(8, arcs, directed=True)
-    assert exact_diameter(g).diameter.value == 5
+    assert exact_diameter(g).diameter == 5
     tree_part = max(aingworth(g, 4).value, aingworth(g.reverse(), 4).value)
     assert tree_part < 5
     est = dense_estimate(g, 4)
@@ -546,7 +692,7 @@ def test_sparse_empty_high_degree_branch():
     for _ in range(40):
         n = int(rng.integers(3, 40))
         g = random_graph(rng, n, int(1.5 * n), connected=True)
-        d = exact_diameter(g).diameter.value
+        d = exact_diameter(g).diameter
         h, z = decompose(d)
         est = sparse_estimate(g, d, int(g.out_degrees.max()) + 1)
         assert est.value <= d
@@ -563,7 +709,7 @@ def test_sparse_hint_below_h_still_sound():
     rng = np.random.default_rng(149)
     for _ in range(30):
         g = random_graph(rng, 30, 45, connected=True)
-        d = exact_diameter(g).diameter.value
+        d = exact_diameter(g).diameter
         est = sparse_estimate(g, 0, 3)
         assert est.value <= d  # the lower floor is forfeited, not soundness
 
@@ -580,7 +726,7 @@ def test_sparse_driver_ceiling_floor_random():
     for i in range(300):
         n = int(rng.integers(4, 80))
         g = random_graph(rng, n, 3 * n, directed=bool(i % 2), connected=True)
-        d = exact_diameter(g).diameter.value
+        d = exact_diameter(g).diameter
         est = sparse_driver(g)
         assert est.value <= d
         assert est.value >= -(-2 * d // 3)  # ceil(2D/3)
@@ -701,7 +847,7 @@ def test_four_fifths_degraded_oracle():
     for i in range(150):
         n = int(rng.integers(2, 60))
         g = random_graph(rng, n, int(rng.integers(n, 3 * n)), connected=True)
-        d = exact_diameter(g).diameter.value
+        d = exact_diameter(g).diameter
         est = four_fifths_estimate(g, distance_oracle=degraded(i))
         assert (4 * d) // 5 <= est.value <= d
 
@@ -780,7 +926,7 @@ _ALL = [
 def test_upper_soundness_multi_seed():
     rng = np.random.default_rng(163)
     for i, g in enumerate(_sweep_graphs(rng, 60, n_hi=60)):
-        d = exact_diameter(g).diameter.value
+        d = exact_diameter(g).diameter
         for name, run in _ALL:
             if name == "four-fifths" and g.directed:
                 continue

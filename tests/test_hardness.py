@@ -49,7 +49,7 @@ def test_reduction_isolated_triple_gives_diameter_two():
     assert inst.expected_diameter == 2
     assert inst.certificate is None
     assert inst.gprime.n == math.comb(3, 1) + 3
-    assert exact_diameter(inst.gprime).diameter.value == 2
+    assert exact_diameter(inst.gprime).diameter == 2
 
 
 def test_reduction_path6_gives_diameter_three():
@@ -57,7 +57,7 @@ def test_reduction_path6_gives_diameter_three():
     assert inst.expected_diameter == 3
     cert = inst.certificate
     assert cert is not None and len(cert) <= 2
-    assert exact_diameter(inst.gprime).diameter.value == 3
+    assert exact_diameter(inst.gprime).diameter == 3
 
 
 def test_reduction_early_exit_on_star():
@@ -142,7 +142,7 @@ def test_reduction_correctness_sweep():
             assert cover == set(range(n))
             continue
         complete_cases += 1
-        got = exact_diameter(inst.gprime).diameter.value
+        got = exact_diameter(inst.gprime).diameter
         assert got == inst.expected_diameter
         witness = brute_force_dominating_set(g, min(2 * k, n))
         assert (witness is not None) == (inst.expected_diameter == 3)
