@@ -1,9 +1,10 @@
 """Command-line front end: estimate | bench | reduce | gen | exact.
 
-Exit codes: 0 success, 1 usage or input errors, 2 infinite diameter.
-Estimator output goes to stdout as key=value lines; the elapsed time goes
-to stderr so that two runs with the same seed produce byte-identical
-stdout.  Timing always excludes parsing and generation.
+Exit codes: 0 success, 1 usage or input errors, 2 infinite diameter;
+``main`` alone maps a subcommand's library errors to them.  Estimator
+output goes to stdout as key=value lines; the elapsed time goes to stderr
+so that two runs with the same seed produce byte-identical stdout.
+Timing always excludes parsing and generation.
 
 The first ``main`` call in a process keeps glibc from handing freed
 blocks under 32 MiB back to the kernel (``mallopt``), so the numpy
@@ -51,6 +52,10 @@ ORACLE_CAP_DEFAULT = 2048
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_BYTES = 32 << 20
 _TRIM_BYTES = 64 << 20
+
+# the library errors that end a subcommand with exit 1 and one "error:"
+# line; InfiniteDiameterError, a GraphError, ends it with exit 2 instead
+_EXIT_1_ERRORS = (GraphError, RestartLimitError, ValueError, OverflowError)
 
 CSV_HEADER = ["instance", "n", "m", "method", "s", "delta", "htilde", "seed",
               "estimate", "oracle_d", "ratio", "reruns", "millis"]
@@ -168,20 +173,18 @@ def _print_estimate(est: Estimate):
     print(f"reruns={est.reruns}")
 
 
+def _timed_run(g: Graph, method: str, args, seed: int) -> tuple[Estimate, float]:
+    """run_method with the tuning flags of ``args``, and its milliseconds."""
+    t0 = time.perf_counter_ns()
+    est = run_method(g, method, s=args.s, delta=args.delta, htilde=args.htilde,
+                     epsilon=args.epsilon, sample_const=args.sample_const,
+                     seed=seed)
+    return est, (time.perf_counter_ns() - t0) / 1e6
+
+
 def _cmd_estimate(args) -> int:
     g = _read_graph(args.input, args.directed, args.weight_scale)
-    try:
-        t0 = time.perf_counter_ns()
-        est = run_method(g, args.method, s=args.s, delta=args.delta,
-                         htilde=args.htilde, epsilon=args.epsilon,
-                         sample_const=args.sample_const, seed=args.seed)
-        millis = (time.perf_counter_ns() - t0) / 1e6
-    except InfiniteDiameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphError, RestartLimitError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    est, millis = _timed_run(g, args.method, args, args.seed)
     _print_estimate(est)
     print(f"millis={millis:.3f}", file=sys.stderr)
     return 0
@@ -190,15 +193,10 @@ def _cmd_estimate(args) -> int:
 def _cmd_exact(args) -> int:
     g = _read_graph(args.input, args.directed, args.weight_scale)
     t0 = time.perf_counter_ns()
-    try:
-        res = exact_diameter(g)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    res = exact_diameter(g)
     millis = (time.perf_counter_ns() - t0) / 1e6
     if res.diameter is None:
-        print("error: graph has infinite diameter", file=sys.stderr)
-        return 2
+        raise InfiniteDiameterError("graph has infinite diameter")
     a, b = res.witness
     print("method=exact")
     print(f"value={res.diameter}")
@@ -232,13 +230,20 @@ def _parse_weights(text: str) -> tuple[int, int]:
         raise ValueError(f"weights must be LO:HI integers, got {text!r}") from None
 
 
+# the keys that each kind of corpus line reads
+_FILE_KEYS = ("file", "directed", "weight_scale", "id")
+_GEN_KEYS = ("family", "n", "m", "p", "max_degree", "weights", "seed",
+             "directed", "clique", "path_len", "id")
+
+
 def load_corpus(path: str) -> list[tuple[str, Graph]]:
     """Read a corpus spec file: one instance per line, '#' comments.
 
     Lines are comma-separated key=value fields, either
     ``file=PATH[,directed=1][,weight_scale=K]`` or generator fields like
     ``family=gnm,n=100,m=300,seed=7[,directed=1][,weights=1:10]``.
-    An ``id=`` field overrides the positional instance name.
+    An ``id=`` field overrides the positional instance name.  A key that
+    the line's kind does not read is an error.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -253,6 +258,10 @@ def load_corpus(path: str) -> list[tuple[str, Graph]]:
             continue
         try:
             kv = _parse_kv(line)
+            known = _FILE_KEYS if "file" in kv else _GEN_KEYS
+            unknown = [key for key in kv if key not in known]
+            if unknown:
+                raise ValueError(f"unknown field {unknown[0]!r}")
             name = kv.pop("id", f"i{idx:03d}")
             if "file" in kv:
                 with open(kv["file"], "r", encoding="utf-8-sig") as fh:
@@ -294,13 +303,8 @@ def _bench_instance(name, g, methods, reps, args):
         for rep in range(reps):
             seed = _derived_seed(args.seed, name, method, rep)
             try:
-                t0 = time.perf_counter_ns()
-                est = run_method(g, method, s=args.s, delta=args.delta,
-                                 htilde=args.htilde, epsilon=args.epsilon,
-                                 sample_const=args.sample_const, seed=seed)
-                millis = (time.perf_counter_ns() - t0) / 1e6
-            except (GraphError, RestartLimitError, ValueError,
-                    OverflowError) as exc:
+                est, millis = _timed_run(g, method, args, seed)
+            except _EXIT_1_ERRORS as exc:
                 print(f"{name}/{method}: {exc}", file=sys.stderr)
                 rows.append([name, g.n, g.m, method, "", "", "", "", "", "",
                              "", "", ""])
@@ -326,16 +330,11 @@ def _fmt(value) -> str:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        corpus = load_corpus(args.corpus)
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    corpus = load_corpus(args.corpus)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
-            print(f"error: unknown method {m!r}", file=sys.stderr)
-            return 1
+            raise GraphError(f"unknown method {m!r}")
     workers = args.threads or os.cpu_count() or 1
     if workers > 1 and len(corpus) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -364,11 +363,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_reduce(args) -> int:
     g = _read_graph(args.input, False, 0)
-    try:
-        inst = build_diameter_instance(g, args.k, node_cap=args.node_cap)
-    except (GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    inst = build_diameter_instance(g, args.k, node_cap=args.node_cap)
     meta = write_metadata(inst)
     _write_file(args.out + ".meta", meta)
     if inst.gprime is not None:
@@ -378,17 +373,13 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        spec = GenSpec(
-            family=args.family, n=args.n, m=args.m, p=args.p,
-            max_degree=args.max_degree,
-            weight_range=_parse_weights(args.weights) if args.weights else None,
-            seed=args.seed, directed=args.directed,
-            clique=args.clique, path_len=args.path_len)
-        g = generate(spec)
-    except (ValueError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spec = GenSpec(
+        family=args.family, n=args.n, m=args.m, p=args.p,
+        max_degree=args.max_degree,
+        weight_range=_parse_weights(args.weights) if args.weights else None,
+        seed=args.seed, directed=args.directed,
+        clique=args.clique, path_len=args.path_len)
+    g = generate(spec)
     text = spec_metadata(spec) + write_edge_list(g)
     if args.out == "-":
         sys.stdout.write(text)
@@ -489,6 +480,9 @@ def main(argv=None) -> int:
         except MemoryError:  # numpy's allocation failures included
             print(f"error: out of memory in {args.command}", file=sys.stderr)
             return 1
+        except _EXIT_1_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2 if isinstance(exc, InfiniteDiameterError) else 1
     except SystemExit as exc:  # usage and input errors carry their exit code
         return exc.code if isinstance(exc.code, int) else 1
 

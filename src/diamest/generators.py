@@ -174,6 +174,11 @@ def _random_family(spec: GenSpec, rng) -> Graph:
         raise ValueError("bounded_degree needs max_degree >= 2")
     target = spec.m if spec.m is not None else n
     deg_cap = spec.max_degree
+    # every edge takes up two degree slots, so no draw could reach more
+    cap = min(n * deg_cap // 2, _pair_capacity(n, spec.directed))
+    if spec.m is not None and spec.m > cap:
+        raise ValueError(f"m={spec.m} exceeds {cap} possible edges at "
+                         f"max_degree={deg_cap}")
     backbone = _backbone(rng, n, spec.directed)
     if not spec.directed:
         backbone.sort(axis=1)

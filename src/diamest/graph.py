@@ -47,6 +47,10 @@ UNREACHED = np.iinfo(np.int64).max
 # Edges formatted per block by write_edge_list.
 _WRITE_ROWS = 1 << 16
 _INT64_MAX = np.iinfo(np.int64).max
+# a parsed weight is built exactly up to this many digits, the most that
+# Python prints of an int by default; a longer one, over 2^53 all the same,
+# is read as 10^_WEIGHT_DIGITS and named by its length
+_WEIGHT_DIGITS = 4300
 # the line breaks of str.splitlines, which numbers the lines of a text
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _BREAK = re.compile(f"\r\n|[{_BREAKS}]")
@@ -254,7 +258,9 @@ def build_graph(n, edges, directed=False) -> Graph:
     # exact only while every path length stays within 2^53
     top = int(edges[:, 2].max()) if weighted else 0
     if (n - 1) * top > 2 ** 53:
-        raise GraphError(f"weight {top} can make a path over {n} "
+        shown = (top if top < 10 ** _WEIGHT_DIGITS
+                 else f"of more than {_WEIGHT_DIGITS} digits")
+        raise GraphError(f"weight {shown} can make a path over {n} "
                          f"vertices longer than 2^53")
     edges = edges.astype(np.int64, copy=False)
     u, v = edges[:, 0], edges[:, 1]
@@ -316,19 +322,32 @@ def finite_diameter_check(g: Graph) -> bool:
 # ---- text formats ----------------------------------------------------------
 
 def _scaled_weight(token: str, scale: int, lineno: int) -> int:
+    """The weight ``token`` times 10^scale, decided exactly at any scale
+    from the token's digits and exponent; no rounding context is used."""
     try:
-        value = Decimal(token) * (Decimal(10) ** scale)
+        value = Decimal(token)  # exact: only arithmetic rounds
     except InvalidOperation:
         raise GraphParseError(f"line {lineno}: bad weight {token!r}") from None
-    if value.is_infinite():
+    if value.is_infinite() or value.is_snan():
         raise GraphParseError(f"line {lineno}: bad weight {token!r}")
-    if value != value.to_integral_value():
+    if value.is_nan():
         raise GraphParseError(
             f"line {lineno}: weight {token!r} not integral at scale 10^{scale}")
-    w = int(value)
-    if w < 0:
+    sign, digits, exponent = value.as_tuple()
+    coefficient = "".join(map(str, digits))
+    lead = coefficient.rstrip("0")
+    if not lead:  # a zero weight stays 0 at any scale
+        return 0
+    # the value is int(lead) * 10^exponent, and 10 does not divide int(lead)
+    exponent += scale + len(coefficient) - len(lead)
+    if exponent < 0:
+        raise GraphParseError(
+            f"line {lineno}: weight {token!r} not integral at scale 10^{scale}")
+    if sign:
         raise GraphParseError(f"line {lineno}: negative weight {token!r}")
-    return w
+    if len(lead) + exponent > _WEIGHT_DIGITS:
+        return 10 ** _WEIGHT_DIGITS
+    return int(lead) * 10 ** exponent
 
 
 def _first_record(text: str, comment: str):

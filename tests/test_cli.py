@@ -13,7 +13,8 @@ import pytest
 
 import diamest.cli as cli
 import diamest.estimators as estimators
-from diamest import (GenSpec, RestartLimitError, exact_diameter, generate,
+from diamest import (GenSpec, GraphError, InfiniteDiameterError,
+                     RestartLimitError, exact_diameter, generate,
                      parse_edge_list, parse_graph, sampled_estimate,
                      write_edge_list)
 from diamest.cli import CSV_HEADER, load_corpus, main
@@ -232,47 +233,185 @@ def test_huge_vertex_count_exit_1(capsys, tmp_path):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["bench", "--corpus", "{d}/missing.txt", "--methods", "exact"],
-     "cannot read {d}/missing.txt"),
-    (["bench", "--corpus", "{latin1}", "--methods", "exact"], "utf-8"),
-    (["gen", "--family", "path", "--n", "5", "--out", "{d}/nodir/x.edges"],
-     "cannot write {d}/nodir/x.edges"),
-    (["reduce", "--input", "{p10}", "--k", "1", "--out", "{d}/nodir/x"],
-     "cannot write {d}/nodir/x.meta"),
-    (["gen", "--family", "gnm", "--n", "5", "--m", "-1"],
-     "m must be >= 0, got -1"),
-    (["gen", "--family", "bounded_degree", "--n", "5", "--max-degree", "3",
-      "--m", "-3"], "m must be >= 0, got -3"),
-    (["gen", "--family", "barbell", "--n", "100", "--path-len", "3"],
-     "error: barbell with clique=2, path_len=3 has 6 vertices, but n=100 was given"),
-    (["estimate", "--input", "{latin1}", "--method", "exact"],
-     "cannot read {latin1}"),
-    (["exact", "--input", "{latin1}"], "cannot read {latin1}"),
-    (["estimate", "--input", "{p10}", "--method", "sparse", "--delta", "1e400",
-      "--htilde", "2"], "infinity"),
-    (["estimate", "--input", "{p10}", "--method", "rv", "--sample-const",
-      "1e400"], "infinity"),
-    (["gen", "--family", "path", "--n", "5", "--weights", "1"],
-     "error: weights must be LO:HI integers, got '1'"),
-    (["bench", "--corpus", "{weights}", "--methods", "exact"],
-     "corpus line 1: weights must be LO:HI integers, got 'abc'"),
-], ids=["bench-missing-corpus", "bench-corpus-not-utf8", "gen-out-no-dir",
-        "reduce-out-no-dir", "gen-negative-m", "bounded-degree-negative-m",
-        "gen-barbell-n-mismatch",
-        "estimate-not-utf8", "exact-not-utf8",
-        "sparse-infinite-delta", "rv-infinite-sample-const",
-        "gen-bad-weights", "bench-corpus-bad-weights"])
-def test_input_errors_exit_1_with_message(capsys, tmp_path, p10_file, argv,
-                                          message):
-    latin1 = tmp_path / "latin1.edges"
-    latin1.write_bytes("3 1\n0 1 \u00e9\n".encode("latin-1"))
-    weights = tmp_path / "weights.txt"
-    weights.write_text("family=path,n=5,weights=abc\n")
-    fill = dict(d=tmp_path, p10=p10_file, latin1=latin1, weights=weights)
-    code, out, err = _run(capsys, [a.format(**fill) for a in argv])
+@pytest.fixture
+def cli_inputs(tmp_path, p10_file):
+    """Fill values for the argv templates below: the paths of small good
+    and bad inputs, written into tmp_path."""
+    files = {
+        "latin1": ("3 1\n0 1 \u00e9\n".encode("latin-1")),
+        "weights": "family=path,n=5,weights=abc\n",
+        "p5": "5 4\n0 1\n1 2\n2 3\n3 4\n",
+        "one": "1 0\n",
+        "disc": "4 1\n0 1\n",
+        "ring": "c ring\np sp 4 4\na 1 2 2\na 2 3 2\na 3 4 2\na 4 1 2\n",
+        "heavy": f"3 2 w\n0 1 {2 ** 53 + 1}\n1 2 1\n",
+        "w57": "3 2 w\n0 1 5\n1 2 7\n",
+        "half": "3 2 w\n0 1 1.5\n1 2 1\n",
+        "fine": "3 2 w\n0 1 1.00000000000000000000000000001\n1 2 1\n",
+        "long": "3 2 w\n0 1 " + "7" * 5000 + "\n1 2 1\n",
+        "empty": "# no instance\n",
+        "sed": "family=gnm,n=50,m=100,sed=7,weigths=1:10\n",
+    }
+    fill = dict(d=tmp_path, p10=p10_file)
+    for name, data in files.items():
+        fill[name] = path = tmp_path / name
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(data)
+    for name, line in (("directd", f"file={fill['w57']},directd=1\n"),
+                       ("scaled", f"file={fill['w57']},weight_scale=10000000\n")):
+        fill[name] = tmp_path / name
+        fill[name].write_text(line)
+    return fill
+
+
+INPUT_ERRORS = [
+    pytest.param(["bench", "--corpus", "{d}/missing.txt", "--methods", "exact"],
+                 "cannot read {d}/missing.txt", id="bench-missing-corpus"),
+    pytest.param(["bench", "--corpus", "{latin1}", "--methods", "exact"],
+                 "utf-8", id="bench-corpus-not-utf8"),
+    pytest.param(["gen", "--family", "path", "--n", "5", "--out",
+                  "{d}/nodir/x.edges"],
+                 "cannot write {d}/nodir/x.edges", id="gen-out-no-dir"),
+    pytest.param(["reduce", "--input", "{p10}", "--k", "1", "--out",
+                  "{d}/nodir/x"],
+                 "cannot write {d}/nodir/x.meta", id="reduce-out-no-dir"),
+    pytest.param(["gen", "--family", "gnm", "--n", "5", "--m", "-1"],
+                 "m must be >= 0, got -1", id="gen-negative-m"),
+    pytest.param(["gen", "--family", "bounded_degree", "--n", "5",
+                  "--max-degree", "3", "--m", "-3"],
+                 "m must be >= 0, got -3", id="bounded-degree-negative-m"),
+    pytest.param(["gen", "--family", "barbell", "--n", "100", "--path-len", "3"],
+                 "error: barbell with clique=2, path_len=3 has 6 vertices, "
+                 "but n=100 was given", id="gen-barbell-n-mismatch"),
+    pytest.param(["estimate", "--input", "{latin1}", "--method", "exact"],
+                 "cannot read {latin1}", id="estimate-not-utf8"),
+    pytest.param(["exact", "--input", "{latin1}"], "cannot read {latin1}",
+                 id="exact-not-utf8"),
+    pytest.param(["estimate", "--input", "{p10}", "--method", "sparse",
+                  "--delta", "1e400", "--htilde", "2"], "infinity",
+                 id="sparse-infinite-delta"),
+    pytest.param(["estimate", "--input", "{p10}", "--method", "rv",
+                  "--sample-const", "1e400"], "infinity",
+                 id="rv-infinite-sample-const"),
+    pytest.param(["gen", "--family", "path", "--n", "5", "--weights", "1"],
+                 "error: weights must be LO:HI integers, got '1'",
+                 id="gen-bad-weights"),
+    pytest.param(["bench", "--corpus", "{weights}", "--methods", "exact"],
+                 "corpus line 1: weights must be LO:HI integers, got 'abc'",
+                 id="bench-corpus-bad-weights"),
+]
+
+
+@pytest.mark.parametrize("argv,message", INPUT_ERRORS)
+def test_input_errors_exit_1_with_message(capsys, cli_inputs, argv, message):
+    code, out, err = _run(capsys, [a.format(**cli_inputs) for a in argv])
     assert code == 1 and out == ""
-    assert message.format(**fill) in err and "Traceback" not in err
+    assert message.format(**cli_inputs) in err and "Traceback" not in err
+
+
+_EST = ["estimate", "--input"]
+
+# edge cases of every subcommand with the exit code each must give; the
+# rows of INPUT_ERRORS join them with exit code 1
+EDGE_CASES = [
+    pytest.param(_EST + ["{p5}", "--method", "aingworth", "--s", "0"], 0,
+                 id="s-zero"),
+    pytest.param(_EST + ["{p5}", "--method", "aingworth", "--s", "-5"], 0,
+                 id="s-negative"),
+    pytest.param(_EST + ["{heavy}", "--method", "two-approx"], 1,
+                 id="weight-2-to-53-plus-1"),
+    pytest.param(_EST + ["{ring}", "--method", "four-fifths"], 1,
+                 id="dimacs-four-fifths"),
+    pytest.param(_EST + ["{ring}", "--method", "dense"], 1, id="dimacs-dense"),
+    pytest.param(_EST + ["{one}", "--method", "rv"], 0, id="one-vertex-rv"),
+    pytest.param(_EST + ["{one}", "--method", "sampling"], 0,
+                 id="one-vertex-sampling"),
+    pytest.param(["exact", "--input", "{one}"], 0, id="one-vertex-exact"),
+    pytest.param(_EST + ["{disc}", "--method", "two-approx"], 2,
+                 id="disconnected"),
+    pytest.param(_EST + ["{p5}", "--method", "sampling", "--epsilon", "nan"], 1,
+                 id="nan-epsilon"),
+    pytest.param(_EST + ["{p5}", "--method", "sampling", "--delta", "1e-300"],
+                 0, id="tiny-delta"),
+    pytest.param(_EST + ["{p5}", "--method", "sparse", "--htilde",
+                         "12345678901234567890", "--delta", "2"], 0,
+                 id="20-digit-htilde"),
+    pytest.param(_EST + ["{p5}", "--method", "rv", "--sample-const", "1e-300"],
+                 0, id="tiny-sample-const"),
+    pytest.param(_EST + ["{w57}", "--method", "two-approx", "--weight-scale",
+                         "99999"], 1, id="weight-scale-99999"),
+    pytest.param(["bench", "--corpus", "{empty}", "--methods", "two-approx"], 0,
+                 id="empty-corpus"),
+    pytest.param(["gen", "--family", "gnm", "--n", "5", "--m", "11"], 1,
+                 id="gen-m-over-capacity"),
+    pytest.param(["gen", "--family", "path", "--n", "-3"], 1,
+                 id="gen-negative-n"),
+    # decimal weights are decided exactly at any scale
+    pytest.param(_EST + ["{fine}", "--method", "two-approx"], 1,
+                 id="weight-past-28-digits"),
+    pytest.param(_EST + ["{half}", "--method", "two-approx"], 1,
+                 id="weight-1.5"),
+    pytest.param(_EST + ["{half}", "--method", "two-approx", "--weight-scale",
+                         "1"], 0, id="weight-1.5-scale-1"),
+    pytest.param(_EST + ["{w57}", "--method", "two-approx", "--weight-scale",
+                         "10000000"], 1, id="weight-scale-1e7"),
+    pytest.param(["exact", "--input", "{w57}", "--weight-scale", "10000000"], 1,
+                 id="exact-weight-scale-1e7"),
+    pytest.param(["bench", "--corpus", "{scaled}", "--methods", "two-approx"], 1,
+                 id="corpus-weight-scale-1e7"),
+    pytest.param(_EST + ["{w57}", "--method", "two-approx", "--weight-scale",
+                         "-10000000"], 1, id="weight-scale-minus-1e7"),
+    pytest.param(_EST + ["{long}", "--method", "two-approx"], 1,
+                 id="weight-of-5000-digits"),
+    # corpus keys that the line's kind does not read
+    pytest.param(["bench", "--corpus", "{sed}", "--methods", "two-approx"], 1,
+                 id="corpus-unknown-generator-key"),
+    pytest.param(["bench", "--corpus", "{directd}", "--methods", "two-approx"],
+                 1, id="corpus-unknown-file-key"),
+    # used to make 20 m draws, which never ended
+    pytest.param(["gen", "--family", "bounded_degree", "--n", "5",
+                  "--max-degree", "3", "--m", "99999999999999999999"], 1,
+                 id="bounded-degree-m-over-cap"),
+] + [pytest.param(p.values[0], 1, id=p.id) for p in INPUT_ERRORS]
+
+
+@pytest.mark.parametrize("argv,code", EDGE_CASES)
+def test_edge_cases_exit_cleanly(capsys, cli_inputs, argv, code):
+    got, out, err = _run(capsys, [a.format(**cli_inputs) for a in argv])
+    assert got == code, err
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1, err
+    else:
+        assert out
+
+
+# the library entry of each subcommand, and a call that reaches it
+LIBRARY_ENTRIES = {
+    "run_method": ["estimate", "--input", "{p10}", "--method", "two-approx"],
+    "exact_diameter": ["exact", "--input", "{p10}"],
+    "load_corpus": ["bench", "--corpus", "{d}/corpus.txt", "--methods", "exact"],
+    "generate": ["gen", "--family", "path", "--n", "5"],
+    "build_diameter_instance": ["reduce", "--input", "{p10}", "--k", "1",
+                                "--out", "{d}/inst"],
+}
+
+
+@pytest.mark.parametrize("error,code", [
+    (InfiniteDiameterError, 2), (GraphError, 1), (RestartLimitError, 1),
+    (ValueError, 1), (OverflowError, 1)], ids=lambda x: getattr(x, "__name__", x))
+@pytest.mark.parametrize("entry", sorted(LIBRARY_ENTRIES))
+def test_library_errors_exit_by_one_rule(capsys, monkeypatch, tmp_path,
+                                         p10_file, entry, error, code):
+    def fail(*args, **kwargs):
+        raise error(f"{entry} failed")
+
+    monkeypatch.setattr(cli, entry, fail)
+    argv = [a.format(p10=p10_file, d=tmp_path) for a in LIBRARY_ENTRIES[entry]]
+    assert _run(capsys, argv) == (code, "", f"error: {entry} failed\n")
+    assert not (tmp_path / "inst.meta").exists()
 
 
 def _out_of_memory(*args, **kwargs):
@@ -626,12 +765,29 @@ def test_bench_unknown_method_or_unwritable_output_exit_1(capsys, tmp_path,
         assert err.startswith(message) and "Traceback" not in err
 
 
-def test_load_corpus_errors(tmp_path):
+def test_load_corpus_errors(tmp_path, p10_file):
     bad = tmp_path / "bad.txt"
     bad.write_text("family=gnm,n=10\n")  # missing m
     from diamest import GraphParseError
     with pytest.raises(GraphParseError, match="corpus line 1"):
         load_corpus(str(bad))
+    # misspelt or misplaced keys used to be ignored: a seed-0 unweighted
+    # graph, or a file read as undirected
+    for lines, message in (
+            ("family=gnm,n=50,m=100,sed=7,weigths=1:10", "unknown field 'sed'"),
+            (f"# files\nfile={p10_file},directd=1", "unknown field 'directd'"),
+            (f"family=path,n=5\nfile={p10_file},seed=3", "unknown field 'seed'"),
+            ("family=path,n=5,weight_scale=2", "unknown field 'weight_scale'"),
+            (f"file={p10_file},family=path", "unknown field 'family'")):
+        bad.write_text(lines + "\n")
+        with pytest.raises(GraphParseError) as exc:
+            load_corpus(str(bad))
+        lineno = len(lines.splitlines())
+        assert str(exc.value) == f"corpus line {lineno}: {message}"
+    bad.write_text(f"file={p10_file},directed=1,weight_scale=0,id=a\n"
+                   "family=bounded_degree,n=9,m=10,p=0.5,max_degree=3,"
+                   "weights=1:2,seed=1,directed=0,clique=2,path_len=1,id=b\n")
+    assert [name for name, _ in load_corpus(str(bad))] == ["a", "b"]
 
 
 def test_fit_time_exponent():

@@ -1,4 +1,5 @@
 """generators module: family properties, determinism, connectivity."""
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -79,6 +80,21 @@ def test_bounded_degree_family():
     assert finite_diameter_check(g)
     degs = np.asarray([g.neighbors(v).size for v in range(g.n)])
     assert degs.max() <= 4
+
+
+def test_bounded_degree_m_over_the_cap_is_rejected():
+    # every edge takes two of the n * max_degree degree slots; m past that
+    # used to make 20 m draws (no end at m = 10^20) and return fewer edges
+    for directed in (False, True):
+        spec = GenSpec("bounded_degree", 5, m=7, max_degree=3, directed=directed)
+        assert generate(spec).m <= 7
+        for m in (8, 10 ** 20):
+            with pytest.raises(ValueError, match=f"^m={m} exceeds 7 possible "
+                                                 f"edges at max_degree=3$"):
+                generate(dataclasses.replace(spec, m=m))
+    # three vertices have three pairs, whatever the degree cap
+    with pytest.raises(ValueError, match="^m=4 exceeds 3 possible edges"):
+        generate(GenSpec("bounded_degree", 3, m=4, max_degree=9))
 
 
 def test_weighted_variants():

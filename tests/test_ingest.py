@@ -252,6 +252,56 @@ def test_files_off_the_array_path_parse_as_before(text, scale, n, edges):
     assert parse_edge_list(text, weight_scale=scale) == build_graph(n, edges)
 
 
+# weight token, scale, and the weight read or the exact message; decided
+# from the token's digits and exponent, where Decimal arithmetic used to
+# round to 28 digits, overflow past 10^999999 and underflow to 0
+EXACT_WEIGHTS = [
+    ("1.00000000000000000000000000001", 0,
+     "line 2: weight '1.00000000000000000000000000001' not integral at scale 10^0"),
+    ("1.00000000000000000000000000001", 29, f"weight {10 ** 29 + 1} can make "
+     "a path over 2 vertices longer than 2^53"),
+    ("1.5", 0, "line 2: weight '1.5' not integral at scale 10^0"),
+    ("1.5", 1, 15),
+    ("1000e-3", 0, 1),
+    ("2500e-3", 0, "line 2: weight '2500e-3' not integral at scale 10^0"),
+    ("-1.5", 0, "line 2: weight '-1.5' not integral at scale 10^0"),
+    ("-15", 0, "line 2: negative weight '-15'"),
+    ("5", -10000000, "line 2: weight '5' not integral at scale 10^-10000000"),
+    ("5e10000000", -10000000, 5),
+    ("5", 15, 5 * 10 ** 15),
+    ("0", 10000000, 0),
+    ("-0.000", -10000000, 0),
+    ("0e-999999999", 0, 0),
+    ("snan", 0, "line 2: bad weight 'snan'"),
+    ("-inf", 0, "line 2: bad weight '-inf'"),
+    ("1e99999999999999999999", 0, "line 2: bad weight '1e99999999999999999999'"),
+    ("5", 10000000,
+     "weight of more than 4300 digits can make a path over 2 vertices longer than 2^53"),
+    ("7" * 5000, 0,
+     "weight of more than 4300 digits can make a path over 2 vertices longer than 2^53"),
+    ("1", 4299, f"weight {10 ** 4299} can make a path over 2 vertices longer than 2^53"),
+]
+
+
+@pytest.mark.parametrize("token,scale,want", EXACT_WEIGHTS,
+                         ids=[f"{t[:32]}-{s}" for t, s, _ in EXACT_WEIGHTS])
+def test_weights_are_decided_exactly_at_any_scale(token, scale, want):
+    text = f"2 1 w\n0 1 {token}\n"
+    if isinstance(want, str):
+        with pytest.raises(GraphParseError) as exc:
+            parse_edge_list(text, weight_scale=scale)
+        assert str(exc.value) == want
+    else:
+        assert parse_edge_list(text, weight_scale=scale) == build_graph(
+            2, [(0, 1, want)])
+
+
+def test_a_long_weight_on_a_loop_is_dropped_with_the_loop():
+    for token in ("7" * 5000, "5e10000000"):
+        text = f"2 2 w\n1 1 {token}\n0 1 3\n"
+        assert parse_edge_list(text) == build_graph(2, [(0, 1, 3)])
+
+
 def _one_scan_results(monkeypatch):
     """What every call of the one-scan reader returns, in call order."""
     graph_module = importlib.import_module("diamest.graph")
