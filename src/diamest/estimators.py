@@ -379,6 +379,11 @@ def _sampled_core(g, s, seed, sample_const, method):
     n = g.n
     s = _clamp_s(g, s, _iceil(math.sqrt(n)))
     size = _sample_size(sample_const * (n / s) * math.log(n), n)
+    # at s = 1 w's near set is w, and w, farthest from a sample that misses
+    # a vertex, is outside it unless a zero-weight arc ties it to the sample
+    if s == 1 and size < n and not (g.weighted and g.weights.min() == 0):
+        raise ValueError(f"s=1 needs a sample of every vertex, got "
+                         f"sample_size={size} of n={n}")
     rng = np.random.default_rng(seed)
     for rerun in range(DEFAULT_RERUN_CAP + 1):
         sample = np.sort(rng.choice(n, size=size, replace=False))
@@ -489,6 +494,13 @@ def _tree_bitsets(members, mdists, n, g: Graph | None = None):
     return bits
 
 
+def _sparse(g: Graph, hint: int, delta: int, **extra) -> Estimate:
+    """The sweep and Estimate of both sparse forms, on input they checked."""
+    tracker = _pivot_sweep(g, np.flatnonzero(g.out_degrees >= delta), hint + 1, g.n)
+    return Estimate(tracker.depth, "sparse", tracker.witness(),
+                    params=_params(htilde=hint, delta=delta, **extra))
+
+
 def sparse_estimate(g: Graph, depth_hint: int, degree_threshold: int) -> Estimate:
     """Degree-threshold estimator for sparse graphs.
 
@@ -498,16 +510,12 @@ def sparse_estimate(g: Graph, depth_hint: int, degree_threshold: int) -> Estimat
     set)).  If depth_hint >= h (for D = 3h + z) the value is at least
     2h+z for every z; the value never exceeds D regardless.
     """
-    _require_unweighted(g, "sparse_estimate")
+    _require_unweighted(g, "sparse_estimate")  # then htilde, delta, finiteness
+    if depth_hint < 0 or degree_threshold < 1:
+        raise ValueError(f"sparse needs htilde >= 0 and delta >= 1, got "
+                         f"htilde={depth_hint}, delta={degree_threshold}")
     _require_finite(g)
-    if depth_hint < 0:
-        raise ValueError(f"depth_hint must be >= 0, got {depth_hint}")
-    if degree_threshold < 1:
-        raise ValueError(f"degree_threshold must be >= 1, got {degree_threshold}")
-    tracker = _pivot_sweep(g, np.flatnonzero(g.out_degrees >= degree_threshold),
-                           depth_hint + 1, g.n)
-    return Estimate(tracker.depth, "sparse", tracker.witness(),
-                    params=_params(htilde=depth_hint, delta=degree_threshold))
+    return _sparse(g, depth_hint, degree_threshold)
 
 
 def sparse_driver(g: Graph) -> Estimate:
@@ -519,15 +527,11 @@ def sparse_driver(g: Graph) -> Estimate:
     threshold follows as m**(1/(2*hint+3)); the result is always
     >= ceil(2D/3).  two_approx has checked finiteness on the way.
     """
+    _require_unweighted(g, "sparse_estimate")  # before two_approx searches
     base = two_approx(g)
-    _require_unweighted(g, "sparse_estimate")
     hint = (2 * base.value) // 3
-    threshold = _iceil(g.m ** (1.0 / (2 * hint + 3))) if g.m else 1
-    tracker = _pivot_sweep(g, np.flatnonzero(g.out_degrees >= threshold),
-                           hint + 1, g.n)
-    return Estimate(tracker.depth, "sparse", tracker.witness(),
-                    params=_params(htilde=hint, delta=threshold,
-                                   two_approx=base.value))
+    return _sparse(g, hint, _iceil(g.m ** (1.0 / (2 * hint + 3))) if g.m else 1,
+                   two_approx=base.value)
 
 
 def four_fifths_estimate(g: Graph, distance_oracle=None) -> Estimate:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, build_graph, finite_diameter_check
+from .graph import Graph, build_graph, edge_table, finite_diameter_check
 
 PRNG_NAME = "numpy-pcg64"
 CONNECT_RETRIES = 8
@@ -199,6 +199,10 @@ def _random_family(spec: GenSpec, rng) -> Graph:
         edges.add(key)
         deg[u] += 1
         deg[v] += 1
+    if spec.m is not None and len(edges) < spec.m:
+        # the capped draws can strand free degree slots on adjacent vertices
+        raise ValueError(f"bounded_degree placed {len(edges)} of m={spec.m} "
+                         f"edges at max_degree={deg_cap}")
     g = build_graph(n, sorted(edges), directed=spec.directed)
     if not finite_diameter_check(g):
         raise RuntimeError("bounded_degree backbone failed to connect")
@@ -258,13 +262,9 @@ def _structured_family(spec: GenSpec) -> Graph:
 
 
 def _attach_weights(g: Graph, rng, lo: int, hi: int) -> Graph:
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    cols = g.indices
-    if not g.directed:
-        keep = rows < cols
-        rows, cols = rows[keep], cols[keep]
-    wts = rng.integers(lo, hi + 1, size=rows.size)
-    return build_graph(g.n, np.column_stack((rows, cols, wts)), directed=g.directed)
+    edges = edge_table(g)
+    wts = rng.integers(lo, hi + 1, size=len(edges))
+    return build_graph(g.n, np.column_stack((edges, wts)), directed=g.directed)
 
 
 def spec_metadata(spec: GenSpec) -> str:

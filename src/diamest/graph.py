@@ -5,12 +5,14 @@ optional parallel integer weight array.  Undirected graphs keep both arcs
 of every edge so that a single traversal code path serves both kinds; the
 logical edge count ``m`` counts each undirected edge once.
 
-Every graph is built by one array core, :func:`build_graph`: an edge
-array goes through the range, weight and 2^53 checks, symmetrization,
-sorting and deduplication as whole-array operations.  Both text formats
-share one array reader into it.  Each finds its header line by line; the
-reader then drops the body's comment lines (``#`` in an edge list, ``c``
-in DIMACS) and checks the layout of the whole body with bytes methods.
+Every graph but a reverse is built by one array core, :func:`build_graph`:
+an edge array goes through the range, weight and 2^53 checks,
+symmetrization, sorting and deduplication as whole-array operations;
+:meth:`Graph.reverse` flips a checked graph's CSR with one sort of its
+own.  Both text formats share one array reader into build_graph.  Each
+finds its header line by line; the reader then drops the body's comment
+lines (``#`` in an edge list, ``c`` in DIMACS) and checks the layout of
+the whole body with bytes methods.
 When every line is the format's record tag (none for an edge list, ``a``
 for a DIMACS arc) and then one row of plain decimal integers, parted by
 blanks and tabs, the tags are stripped and a single ``np.fromstring`` scan
@@ -518,18 +520,21 @@ def _parsed_graph(n, edges, directed) -> Graph:
         raise GraphParseError(str(exc)) from None
 
 
+def edge_table(g: Graph) -> np.ndarray:
+    """One row (u, v), or (u, v, weight) when weighted, per edge of ``g``
+    in arc order; an undirected edge is its arc with u < v."""
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    cols = (rows, g.indices) if g.weights is None else (rows, g.indices, g.weights)
+    if not g.directed:
+        keep = rows < g.indices
+        cols = [c[keep] for c in cols]
+    return np.column_stack(cols)
+
+
 def write_edge_list(g: Graph) -> str:
     """Canonical edge-list text; round-trips through parse_edge_list."""
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    cols = g.indices
-    wts = g.weights
-    if not g.directed:
-        keep = rows < cols
-        rows, cols = rows[keep], cols[keep]
-        if wts is not None:
-            wts = wts[keep]
-    table = np.column_stack((rows, cols) if wts is None else (rows, cols, wts))
-    parts = [f"{g.n} {rows.size} w\n" if g.weighted else f"{g.n} {rows.size}\n"]
+    table = edge_table(g)
+    parts = [f"{g.n} {len(table)} w\n" if g.weighted else f"{g.n} {len(table)}\n"]
     line = " ".join(["%d"] * table.shape[1]) + "\n"
     # one %-format per block of rows; blocks bound the memory at any m
     for lo in range(0, len(table), _WRITE_ROWS):

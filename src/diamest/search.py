@@ -305,12 +305,13 @@ def _dijkstra_blocks(h: Graph, sources: np.ndarray, s: int):
 
 
 def _checked_sources(sources, n):
-    """``sources`` as a flat int64 array; names the first one outside [0, n)."""
-    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    """``sources`` as a flat int64 array; names the first one outside [0, n),
+    which may be past int64."""
+    sources = np.asarray(sources).reshape(-1)
     bad = sources[(sources < 0) | (sources >= n)]
     if bad.size:
         raise ValueError(f"source {bad[0]} out of range for n={n}")
-    return sources
+    return sources.astype(np.int64, copy=False)
 
 
 def _first_s(d, s, members, dists):
@@ -362,10 +363,8 @@ def near_sets(g: Graph, sources, s: int, direction: str = OUT):
 
 def search(g: Graph, v: int, direction: str = OUT) -> SearchTree:
     """Exact single-source distances from/to ``v`` (BFS or Dijkstra)."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"source {v} out of range for n={g.n}")
     dist, reached = _search_from(_oriented(g, direction),
-                                 np.array([v], dtype=np.int64))
+                                 _checked_sources(v, g.n))
     if g.weighted:
         # reached ids ascend, so a stable sort by distance breaks ties by id
         order = reached[np.argsort(dist[reached], kind="stable")]
@@ -403,11 +402,9 @@ def nearest_in_set(g: Graph, members, direction: str = OUT) -> np.ndarray:
     # distance from v to the set is a distance in the reverse graph from
     # the set to v, so direction OUT traverses reversed arcs
     h = _oriented(g, direction).reverse()
-    members = np.asarray(members, dtype=np.int64).reshape(-1)
+    members = _checked_sources(members, g.n)
     if members.size == 0:
         raise ValueError("member set must be nonempty")
-    if members.min() < 0 or members.max() >= g.n:
-        raise ValueError("member out of range")
     return _search_from(h, _unique(members, g.n))[0]
 
 

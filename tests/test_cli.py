@@ -295,6 +295,14 @@ INPUT_ERRORS = [
     pytest.param(["estimate", "--input", "{p10}", "--method", "rv",
                   "--sample-const", "1e400"], "infinity",
                  id="rv-infinite-sample-const"),
+    pytest.param(["estimate", "--input", "{p10}", "--method", "rv", "--s", "1",
+                  "--sample-const", "0.1"],
+                 "error: s=1 needs a sample of every vertex, got sample_size=3 "
+                 "of n=10", id="rv-s1-partial-sample"),
+    pytest.param(["gen", "--family", "bounded_degree", "--n", "100", "--m",
+                  "150", "--max-degree", "3"],
+                 "error: bounded_degree placed 149 of m=150 edges at "
+                 "max_degree=3", id="bounded-degree-short-of-m"),
     pytest.param(["gen", "--family", "path", "--n", "5", "--weights", "1"],
                  "error: weights must be LO:HI integers, got '1'",
                  id="gen-bad-weights"),
@@ -572,6 +580,40 @@ def test_sparse_override_requires_both(capsys, p10_file):
                                  "--method", "sparse", "--htilde", "4",
                                  "--delta", "2"])
     assert code == 0
+
+
+_SPARSE_FORMS = {"driver": ["--method", "sparse"],
+                 "override": ["--method", "sparse", "--htilde", "1", "--delta", "2"]}
+_UNWEIGHTED = "error: sparse_estimate requires an unweighted graph\n"
+
+
+@pytest.mark.parametrize("graph,flags,message", [
+    # weighted, whether strongly connected or not: both forms exit 1
+    *[pytest.param(text, flags, _UNWEIGHTED, id=f"{name}-{form}")
+      for name, text in (("weighted-disconnected", "4 1 w\n0 1 3\n"),
+                         ("weighted-connected", "3 2 w\n0 1 5\n1 2 7\n"))
+      for form, flags in _SPARSE_FORMS.items()],
+    # a bad htilde or delta exits 1, on a connected graph and on one that
+    # is not alike
+    *[pytest.param(text, ["--method", "sparse", f"--htilde={h}", f"--delta={d}"],
+                   f"error: sparse needs htilde >= 0 and delta >= 1, got "
+                   f"htilde={h}, delta={d}\n", id=f"{name}-htilde{h}-delta{d}")
+      for name, text in (("connected", "5 4\n0 1\n1 2\n2 3\n3 4\n"),
+                         ("disconnected", "4 1\n0 1\n"))
+      for h, d in ((-1, 2), (1, 0))],
+])
+def test_sparse_refuses_bad_input_before_searching(capsys, tmp_path, monkeypatch,
+                                                   graph, flags, message):
+    calls = []
+    for name in ("search", "finite_diameter_check"):
+        real = getattr(estimators, name)
+        monkeypatch.setattr(estimators, name,
+                            lambda *a, _name=name, _real=real:
+                            calls.append(_name) or _real(*a))
+    path = tmp_path / "g.edges"
+    path.write_text(graph)
+    code, out, err = _run(capsys, ["estimate", "--input", str(path), *flags])
+    assert (code, out, err, calls) == (1, "", message, [])
 
 
 @pytest.mark.parametrize("delta,shown", [

@@ -396,11 +396,11 @@ def test_undirected_sweep_runs_one_batch(search_log):
         try:
             est = sampled_estimate(g, s=s, seed=i,
                                    sample_const=(2.0, 0.5, 0.25, 50.0)[i % 4])
-        except RestartLimitError:
+        except ValueError as exc:
             # at s = 1 w's near set is w, which a sample that is not every
-            # vertex never holds: every attempt reruns
-            assert s == 1 and search_log == ["nearest", "search"] * (
-                estimators_module.DEFAULT_RERUN_CAP + 1)
+            # vertex never holds: refused before the first attempt
+            assert s == 1 and search_log == []
+            assert str(exc).startswith("s=1 needs a sample of every vertex")
         else:
             calls = search_log[:]
             want = _two_batch_rv(g, s, est.param("sample_size"), i,
@@ -485,6 +485,22 @@ def test_sampled_reruns_when_the_sample_misses_the_near_set():
         assert est.value >= (2 * d) // 3
         reruns.append(est.reruns)
     assert max(reruns) >= 1
+
+
+def test_s1_with_a_partial_sample_is_refused_unless_an_arc_weighs_0():
+    # w's near set is w, which a partial sample never holds
+    for g, run in ((path_graph(10), sampled_estimate),
+                   (path_graph(10, weights=[1] * 9), sampled_estimate_weighted)):
+        with pytest.raises(ValueError, match="^s=1 needs a sample of every "
+                                             "vertex, got sample_size=3 of n=10$"):
+            run(g, s=1, sample_const=0.1)
+    # with every arc 0 all vertices lie at distance 0 of the sample, so w
+    # is vertex 0, and an attempt whose sample holds it succeeds
+    g = build_graph(6, [(i, (i + 1) % 6, 0) for i in range(6)])
+    ests = [sampled_estimate_weighted(g, s=1, seed=seed, sample_const=0.3)
+            for seed in range(4)]
+    assert [e.param("sample_size") for e in ests] == [4] * 4
+    assert max(e.reruns for e in ests) >= 1
 
 
 def test_sampled_floor_random():

@@ -1,6 +1,7 @@
 """generators module: family properties, determinism, connectivity."""
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -87,7 +88,11 @@ def test_bounded_degree_m_over_the_cap_is_rejected():
     # used to make 20 m draws (no end at m = 10^20) and return fewer edges
     for directed in (False, True):
         spec = GenSpec("bounded_degree", 5, m=7, max_degree=3, directed=directed)
-        assert generate(spec).m <= 7
+        try:  # at the cap the draws may strand a slot, which is an error
+            assert generate(spec).m == 7
+        except ValueError as exc:
+            assert re.fullmatch(r"bounded_degree placed [0-6] of m=7 edges at "
+                                r"max_degree=3", str(exc))
         for m in (8, 10 ** 20):
             with pytest.raises(ValueError, match=f"^m={m} exceeds 7 possible "
                                                  f"edges at max_degree=3$"):
@@ -95,6 +100,21 @@ def test_bounded_degree_m_over_the_cap_is_rejected():
     # three vertices have three pairs, whatever the degree cap
     with pytest.raises(ValueError, match="^m=4 exceeds 3 possible edges"):
         generate(GenSpec("bounded_degree", 3, m=4, max_degree=9))
+
+
+def test_bounded_degree_short_of_a_given_m_is_an_error():
+    # at m = n * max_degree / 2 the capped draws can strand free slots on
+    # two adjacent vertices, or on one vertex
+    spec = GenSpec("bounded_degree", 100, m=150, max_degree=3)
+    for seed in range(4):
+        with pytest.raises(ValueError, match="^bounded_degree placed 149 of "
+                                             "m=150 edges at max_degree=3$"):
+            generate(dataclasses.replace(spec, seed=seed))
+    assert generate(dataclasses.replace(spec, seed=4)).m == 150
+    # with no m given the target is n edges, and a shortfall stands: a
+    # Hamiltonian path closes into a cycle only if its two ends are drawn
+    assert [generate(GenSpec("bounded_degree", 100, max_degree=2, seed=seed)).m
+            for seed in (0, 1)] == [100, 99]
 
 
 def test_weighted_variants():

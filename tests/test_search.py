@@ -134,10 +134,14 @@ def test_nearest_in_set_validates_members():
     g = path_graph(4)
     with pytest.raises(ValueError, match="^member set must be nonempty$"):
         nearest_in_set(g, [], OUT)
-    # a -1 is caught before deduplication could drop it
-    for members in ([-1], [2, -1], [4], [0, 4]):
-        with pytest.raises(ValueError, match="^member out of range$"):
+    # a -1 is caught before deduplication could drop it, and named as
+    # search, near_sets and batch_search_stats name a bad source
+    for members, bad in (([-1], -1), ([2, -1], -1), ([4], 4), ([0, 4, 5], 4),
+                         ([1, 2 ** 70], 2 ** 70)):
+        with pytest.raises(ValueError, match=f"^source {bad} out of range for n=4$"):
             nearest_in_set(g, members, OUT)
+        with pytest.raises(ValueError, match=f"^source {bad} out of range for n=4$"):
+            search(g, bad, OUT)
     assert nearest_in_set(g, [3, 1, 3], OUT).tolist() == [1, 0, 1, 0]
 
 
