@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, build_graph, edge_table, finite_diameter_check
+from .graph import Graph, _key_dtype, build_graph, edge_table, finite_diameter_check
 
 PRNG_NAME = "numpy-pcg64"
 CONNECT_RETRIES = 8
@@ -66,11 +66,16 @@ def _sample_pairs(rng, n, m, directed):
         if not directed:
             us, vs = np.minimum(us, vs), np.maximum(us, vs)
         keys = (us * n + vs)[us != vs]
-        # each distinct key at its first draw position, in draw order: the
-        # smallest position of each run of equal keys in their sorted order
-        order = np.argsort(keys)
-        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-        keys = keys[np.sort(np.minimum.reduceat(order, starts))]
+        # each distinct key at its first draw position, in draw order: a
+        # draw's position packed under its key sorts it first in its run
+        bits = keys.size.bit_length()
+        if dtype := _key_dtype(n * n << bits):
+            packed = np.sort((keys << bits | np.arange(keys.size)).astype(dtype))
+            first = packed[np.diff(packed >> bits, prepend=-1) != 0] & (1 << bits) - 1
+        else:  # too wide to pack
+            order = np.argsort(keys, kind="stable")
+            first = order[np.diff(keys[order], prepend=-1) != 0]
+        keys = keys[np.sort(first)]
         fresh = keys[~np.isin(keys, chosen)]
         chosen = np.concatenate((chosen, fresh[:need]))
     return np.column_stack(np.divmod(chosen, n))

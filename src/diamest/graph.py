@@ -5,14 +5,14 @@ optional parallel integer weight array.  Undirected graphs keep both arcs
 of every edge so that a single traversal code path serves both kinds; the
 logical edge count ``m`` counts each undirected edge once.
 
-Every graph but a reverse is built by one array core, :func:`build_graph`:
-an edge array goes through the range, weight and 2^53 checks,
-symmetrization, sorting and deduplication as whole-array operations;
-:meth:`Graph.reverse` flips a checked graph's CSR with one sort of its
-own.  Both text formats share one array reader into build_graph.  Each
-finds its header line by line; the reader then drops the body's comment
-lines (``#`` in an edge list, ``c`` in DIMACS) and checks the layout of
-the whole body with bytes methods.
+Every graph is built by one array core: :func:`build_graph` puts an edge
+array through the range, weight and 2^53 checks and symmetrization as
+whole-array operations, and :meth:`Graph.reverse` flips a checked graph's
+arcs; both end in one np.sort of arc keys, with the weights packed in
+their low bits, and deduplication.  Both text formats share one array
+reader into build_graph.  Each finds its header line by line; the reader
+then drops the body's comment lines (``#`` in an edge list, ``c`` in
+DIMACS) and checks the layout of the whole body with bytes methods.
 When every line is the format's record tag (none for an edge list, ``a``
 for a DIMACS arc) and then one row of plain decimal integers, parted by
 blanks and tabs, the tags are stripped and a single ``np.fromstring`` scan
@@ -151,15 +151,8 @@ class Graph:
         if isinstance(rev, weakref.ref):
             rev = rev()
         if rev is None:
-            # target of the reversed arc = source vertex of the original arc
             arc_src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-            # arcs are distinct, so the keys dst * n + src are too and any
-            # argsort gives the reversed arcs in (source, target) order
-            order = np.argsort(self.indices * self.n + arc_src)
-            rev_indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.indices, minlength=self.n), out=rev_indptr[1:])
-            rev_w = None if self.weights is None else self.weights[order]
-            rev = Graph(self.n, True, rev_indptr, arc_src[order], rev_w)
+            rev = _arcs_graph(self.n, True, (self.indices,), (arc_src,), self.weights)
             # a weak way back: a reference cycle would keep both graphs'
             # arrays alive until the cyclic garbage collector ran
             rev._rev = weakref.ref(self)
@@ -266,36 +259,53 @@ def build_graph(n, edges, directed=False) -> Graph:
                          f"vertices longer than 2^53")
     edges = edges.astype(np.int64, copy=False)
     u, v = edges[:, 0], edges[:, 1]
-    # sort arcs by the key src * n + dst and keep one per pair with its
-    # minimum weight; only weights need the permutation, so unweighted
-    # keys sort in place.  The keys and the run mask below are written
-    # into arrays made for them, as every fresh temporary costs page faults
-    m = len(edges)
-    key = np.empty(m if directed else 2 * m, dtype=np.int64)
-    np.multiply(u, n, out=key[:m])
-    key[:m] += v
-    if not directed:
-        np.multiply(v, n, out=key[m:])
-        key[m:] += u
-    if weighted:
-        order = np.argsort(key)
-        key = key[order]
-        wts = edges[:, 2] if directed else np.concatenate((edges[:, 2],) * 2)
-        wts = wts[order]
-    else:
+    ends = ((u,), (v,)) if directed else ((u, v), (v, u))
+    return _arcs_graph(n, directed, *ends, edges[:, 2] if weighted else None)
+
+
+def _key_dtype(span):
+    """int32 when every key in [0, span) fits it, else int64, or None past
+    int64.  Narrower keys sort about twice as fast and take half the memory."""
+    return None if span > 1 << 63 else np.dtype(np.int32 if span < 1 << 31 else np.int64)
+
+
+def _arcs_graph(n, directed, srcs, dsts, w) -> Graph:
+    """The Graph of the arcs srcs[k][i] -> dsts[k][i], arc i of every part
+    k weighted by w[i] (or unweighted when w is None), one arc per pair with
+    its minimum weight.  Each key src * n + dst carries its arc's weight in
+    its low bits, so one np.sort (3-4x as fast as an argsort; int32 where
+    the keys fit) orders the arcs with the minimum weight first in each
+    run; keys too wide for int64 take a lexsort.  Keys and the run mask
+    get arrays made for them: every fresh temporary costs page faults."""
+    bits = 0 if w is None else int(w.max()).bit_length()
+    dtype = _key_dtype(n * n << bits)
+    key = np.empty(sum(map(len, srcs)), dtype=dtype or np.int64)
+    for part, src, dst in zip(key.reshape(len(srcs), -1), srcs, dsts):
+        np.multiply(src, n, out=part, casting="unsafe")
+        part += dst
+        if dtype and bits:
+            part <<= bits
+            part |= w
+    if dtype:
         key.sort()
-    # the first key of each run of equal keys
-    keep = np.empty(key.size, dtype=bool)
+        arc = key >> bits
+        w = None if w is None else key & (1 << bits) - 1
+    else:  # too wide to pack
+        w = np.tile(w, len(srcs))
+        order = np.lexsort((w, key))
+        arc, w = key[order], w[order]
+    keep = np.empty(arc.size, dtype=bool)
     keep[:1] = True
-    np.not_equal(key[1:], key[:-1], out=keep[1:])
-    wts = np.minimum.reduceat(wts, np.flatnonzero(keep)) if weighted else None
-    key = key[keep]
-    # row r holds the keys in [r * n, (r + 1) * n); taking its start off
-    # each key leaves the target (about three times faster than key %= n)
+    np.not_equal(arc[1:], arc[:-1], out=keep[1:])
+    arc = arc[keep]
+    w = None if w is None else w[keep].astype(np.int64, copy=False)
+    # row r holds the arcs in [r * n, (r + 1) * n); taking its start off
+    # each arc leaves the target (about three times faster than arc % n)
     starts = np.arange(n + 1, dtype=np.int64) * n
-    indptr = np.searchsorted(key, starts)
-    key -= np.repeat(starts[:-1], np.diff(indptr))
-    return Graph(n, directed, indptr, key, wts)
+    indptr = np.searchsorted(arc, starts.astype(arc.dtype))
+    indices = np.repeat(starts[:-1], np.diff(indptr))
+    np.subtract(arc, indices, out=indices)
+    return Graph(n, directed, indptr, indices, w)
 
 
 def finite_diameter_check(g: Graph) -> bool:

@@ -40,7 +40,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
-from .graph import Graph, InfiniteDiameterError, UNREACHED
+from .graph import Graph, InfiniteDiameterError, UNREACHED, _key_dtype
 
 OUT = "out"
 IN = "in"
@@ -105,12 +105,6 @@ def _per_chunk(unit_bytes):
     """Units of ``unit_bytes`` bytes each that one chunk takes, at least
     one; a unit of 0 bytes (a row of the empty graph) counts as 1."""
     return max(1, _CHUNK_BYTES // max(1, unit_bytes))
-
-
-def _key_dtype(span):
-    """int32 when every key in [0, span) fits it, else int64.  Narrower
-    keys sort about twice as fast and take half the memory."""
-    return np.dtype(np.int32 if span < 1 << 31 else np.int64)
 
 
 def _runs(starts, counts):

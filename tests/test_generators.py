@@ -215,6 +215,18 @@ PINNED = [
      "af5d122d6b87e1e2689d2da7daee968ba55e609551d6e3de49e9f07974afed06"),
     (GenSpec("grid", 96, weight_range=(1, 10)),
      "0b02c6872b4fc286b0f9109ed2382ee32c5d111aefe2ffc6c502bf8ec8db4db9"),
+    # the benchmark's ingest shapes, at the seeds that its workload seed 1
+    # derives for their first files, pinned while pairs were drawn through
+    # an argsort
+    (GenSpec("gnm", 2500, m=25000, seed=1000013),
+     "8b80ae5fb2598a0962b780fb5241e80b37ec8564438446d423d3edcc2ddb978e"),
+    (GenSpec("gnm", 1250, m=12500, seed=1000023, weight_range=(1, 100)),
+     "e9e0153c4dfe3850c5f8206783baf0ca47ae284b7c9881fd17c73753cf9a8f2a"),
+    # a first chunk of 80008 draws, past 2^16 positions
+    (GenSpec("gnm", 4096, m=40000, seed=11),
+     "8d3d32a1e49cbc9ff89afffe3b82b3cd08a10f938d25002a2f4e1027951ca17a"),
+    (GenSpec("gnm", 4096, m=40000, seed=12, directed=True),
+     "7f22a26ee81472b78ce39116c211d4a108748788eceb706d7ecd926217185c3d"),
 ]
 
 
@@ -242,8 +254,8 @@ def _reference_sample_pairs(rng, n, m, directed):
     return sorted(chosen)
 
 
-def test_sample_pairs_matches_per_draw_loop():
-    rng = np.random.default_rng(5)
+def _matches_per_draw_loop(cases_seed):
+    rng = np.random.default_rng(cases_seed)
     for _ in range(200):
         n = int(rng.integers(2, 40))
         directed = bool(rng.integers(0, 2))
@@ -257,6 +269,17 @@ def test_sample_pairs_matches_per_draw_loop():
         assert sorted(map(tuple, got.tolist())) == want
         # the same number of draws, so later draws see the same stream
         assert ref_rng.integers(0, 2 ** 62) == new_rng.integers(0, 2 ** 62)
+
+
+def test_sample_pairs_matches_per_draw_loop():
+    _matches_per_draw_loop(5)
+
+
+def test_sample_pairs_without_packed_keys_matches_per_draw_loop(monkeypatch):
+    # the argsort taken when a position packed under a pair key would
+    # overflow int64
+    monkeypatch.setattr(generators, "_key_dtype", lambda span: None)
+    _matches_per_draw_loop(6)
 
 
 @pytest.mark.parametrize("spec", [SWEEP, NEARSET], ids=["sweep", "nearset"])

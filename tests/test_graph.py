@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import diamest.graph as graph_module
 from diamest import (GraphError, GraphParseError, build_graph, exact_diameter,
                      finite_diameter_check, parse_dimacs, parse_edge_list,
                      parse_graph, write_edge_list)
@@ -116,21 +117,71 @@ def _random_arcs(rng, n, weighted):
     return np.column_stack((arcs, rng.integers(0, 4, size=m))) if weighted else arcs
 
 
-def test_reverse_equals_build_of_flipped_arcs():
-    # reverse() orders the arcs by one argsort of the keys dst * n + src
-    rng = np.random.default_rng(11)
+def _flipped_arc_cases(seed):
+    """(n, arcs, arcs flipped) for 400 random arc sets, half weighted."""
+    rng = np.random.default_rng(seed)
     for _ in range(200):
         n = int(rng.integers(1, 40))
         for weighted in (False, True):
             arcs = _random_arcs(rng, n, weighted)
             flipped = arcs.copy()
             flipped[:, :2] = arcs[:, 1::-1]
-            g = build_graph(n, arcs, directed=True)
-            assert g.reverse() == build_graph(n, flipped, directed=True)
+            yield n, arcs, flipped
+
+
+def test_reverse_equals_build_of_flipped_arcs():
+    # reverse() sorts the keys dst * n + src, with each weight packed in
+    # their low bits, through build_graph's own CSR tail
+    for n, arcs, flipped in _flipped_arc_cases(11):
+        g = build_graph(n, arcs, directed=True)
+        assert g.reverse() == build_graph(n, flipped, directed=True)
+
+
+def _same_arrays(a, b):
+    assert a == b
+    for x in (a.indptr, a.indices, a.weights, b.indptr, b.indices, b.weights):
+        assert x is None or x.dtype == np.int64
+
+
+def test_int64_keys_build_and_reverse_the_same_graphs(monkeypatch):
+    # every key of these small graphs fits int32; forced int64 keys must
+    # sort the same, and either way the arrays stay int64
+    cases = []
+    for n, arcs, _ in _flipped_arc_cases(11):
+        g = build_graph(n, arcs, directed=True)
+        cases.append((n, arcs, g, g.reverse(), build_graph(n, arcs)))
+    monkeypatch.setattr(graph_module, "_key_dtype", lambda span: np.dtype(np.int64))
+    for n, arcs, g, rev, undirected in cases:
+        got = build_graph(n, arcs, directed=True)
+        _same_arrays(got, g)
+        _same_arrays(got.reverse(), rev)
+        _same_arrays(build_graph(n, arcs), undirected)
+
+
+def test_weights_too_wide_to_pack_sort_by_lexsort():
+    # at n = 4096 a weight of 2^41 keeps paths within 2^53 but leaves no
+    # room in an int64 key; the graph must be the one that the weights'
+    # ranks, which pack, give
+    n, top = 4096, 2 ** 41
+    assert graph_module._key_dtype(n * n << top.bit_length()) is None
+    rng = np.random.default_rng(13)
+    for directed in (False, True):
+        arcs = rng.integers(0, n, size=(30000, 2))
+        arcs[:20000] %= [512, 8]  # about 5 parallel arcs per pair
+        wts = rng.integers(0, top + 1, size=len(arcs))
+        wts[::3] = top
+        values, ranks = np.unique(wts, return_inverse=True)
+        wide = build_graph(n, np.column_stack((arcs, wts)), directed=directed)
+        packed = build_graph(n, np.column_stack((arcs, ranks)), directed=directed)
+        for got, want in ((wide, packed), (wide.reverse(), packed.reverse())):
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.weights, values[want.weights])
+            assert got.weights.dtype == np.int64
 
 
 def test_build_unweighted_and_weighted_share_the_csr():
-    # unweighted keys are sorted in place, weighted ones through argsort
+    # one sort of packed keys orders the arcs with or without weights
     rng = np.random.default_rng(12)
     for _ in range(200):
         n = int(rng.integers(1, 40))
